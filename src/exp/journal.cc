@@ -108,10 +108,10 @@ gridFingerprint(const std::vector<ExperimentSpec> &jobs)
         h = fnv1a(h, spec.id());
         const std::uint64_t ops = spec.ops;
         const std::uint64_t cores = spec.cores;
-        const std::uint64_t pinned = spec.pinnedRetryInterval;
         h = fnv1a(h, &ops, sizeof(ops));
         h = fnv1a(h, &cores, sizeof(cores));
-        h = fnv1a(h, &pinned, sizeof(pinned));
+        for (const auto &[key, value] : spec.overrides)
+            h = fnv1a(h, key + "=" + value);
         h = fnv1a(h, spec.traceFile);
     }
     return h;

@@ -61,8 +61,8 @@ JobOutcome outcomeFromWire(const JsonValue &wire,
 
 /**
  * Order-sensitive fingerprint over every field that determines a
- * cell's simulated result (id, ops, cores, pinned-retry, trace file).
- * Two grids with equal fingerprints and equal sizes produce the same
+ * cell's simulated result (id, ops, cores, config overrides, trace
+ * file). Two grids with equal fingerprints and equal sizes produce the same
  * cells, so resuming across them is sound; anything else is a
  * mismatch the resume path must refuse.
  */

@@ -98,8 +98,6 @@ runJob(const ExperimentSpec &spec, const JobControl &ctl)
         try {
             fault::maybeInject(ctl.index, ctl.cancel);
             model::SystemConfig cfg = spec.toSystemConfig();
-            if (ctl.tweak)
-                ctl.tweak(cfg);
             model::System sys(cfg);
             sys.setCancelFlag(ctl.cancel);
             std::shared_ptr<workload::trace::TraceCaptureWriter>
@@ -144,14 +142,10 @@ runJob(const ExperimentSpec &spec, const JobControl &ctl)
 }
 
 JobOutcome
-runJob(const ExperimentSpec &spec, unsigned maxAttempts,
-       const std::function<void(model::SystemConfig &)> &tweak,
-       const std::function<void(unsigned)> &onAttempt)
+runJob(const ExperimentSpec &spec, unsigned maxAttempts)
 {
     JobControl ctl;
     ctl.maxAttempts = maxAttempts;
-    ctl.tweak = tweak;
-    ctl.onAttempt = onAttempt;
     return runJob(spec, ctl);
 }
 

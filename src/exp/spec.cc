@@ -1,7 +1,9 @@
 #include "exp/spec.hh"
 
+#include <charconv>
+#include <stdexcept>
+
 #include "sim/logging.hh"
-#include "workload/synthetic/presets.hh"
 #include "workload/trace/trace_capture.hh"
 #include "workload/workload_factory.hh"
 
@@ -11,12 +13,110 @@ namespace persim::exp
 namespace
 {
 
-const std::vector<persist::BarrierKind> kBepVariants = {
-    persist::BarrierKind::LB,
-    persist::BarrierKind::LBIDT,
-    persist::BarrierKind::LBPF,
-    persist::BarrierKind::LBPP,
+// Value parsers for the override table. They throw
+// std::invalid_argument carrying what they wanted; applyOverride turns
+// that into a SimFatal naming the key.
+
+bool
+asBool(const std::string &v)
+{
+    if (v == "true" || v == "false")
+        return v == "true";
+    throw std::invalid_argument("true or false");
+}
+
+std::uint64_t
+asNum(const std::string &v)
+{
+    std::uint64_t out = 0;
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (v.empty() || ec != std::errc() || ptr != end)
+        throw std::invalid_argument("a non-negative integer");
+    return out;
+}
+
+unsigned
+asU32(const std::string &v)
+{
+    const std::uint64_t n = asNum(v);
+    if (n > UINT32_MAX)
+        throw std::invalid_argument("a 32-bit integer");
+    return static_cast<unsigned>(n);
+}
+
+cache::ReplacementPolicy
+asPolicy(const std::string &v)
+{
+    if (v == "lru" || v == "random")
+        return v == "lru" ? cache::ReplacementPolicy::Lru
+                          : cache::ReplacementPolicy::Random;
+    throw std::invalid_argument("lru or random");
+}
+
+using Setter = void (*)(model::SystemConfig &, const std::string &);
+
+/** The one table of override keys. */
+const std::pair<const char *, Setter> kOverrideKeys[] = {
+    {"barrier.useArbiter",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.barrier.useArbiter = asBool(v);
+     }},
+    {"barrier.idtRegsPerEpoch",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.barrier.idtRegsPerEpoch = asU32(v);
+     }},
+    {"barrier.maxInflightEpochs",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.barrier.maxInflightEpochs = asU32(v);
+     }},
+    {"barrier.invalidatingFlush",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.barrier.invalidatingFlush = asBool(v);
+     }},
+    {"barrier.avoidTaggedVictims",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.barrier.avoidTaggedVictims = asBool(v);
+     }},
+    {"nvram.writeLatency",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.nvram.writeLatency = asNum(v);
+     }},
+    {"l1.policy",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.l1.geometry.policy = asPolicy(v);
+     }},
+    {"llc.policy",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.llcBank.geometry.policy = asPolicy(v);
+     }},
+    {"llc.sizeBytes",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.llcBank.geometry.sizeBytes = asNum(v);
+     }},
+    {"llc.pinnedRetryInterval",
+     [](model::SystemConfig &c, const std::string &v) {
+         c.llcBank.pinnedRetryInterval = asNum(v);
+     }},
 };
+
+void
+applyOverride(model::SystemConfig &cfg, const std::string &key,
+              const std::string &value)
+{
+    for (const auto &[name, set] : kOverrideKeys) {
+        if (key != name)
+            continue;
+        try {
+            set(cfg, value);
+        } catch (const std::invalid_argument &e) {
+            fatal("config override ", key, "=", value, ": want ",
+                  e.what());
+        }
+        return;
+    }
+    fatal("unknown config override key '", key, "'");
+}
 
 } // namespace
 
@@ -48,7 +148,8 @@ ExperimentSpec::toSystemConfig() const
         cfg.barrier.checkpointLines = 0;
     }
     cfg.seed = seed;
-    cfg.llcBank.pinnedRetryInterval = pinnedRetryInterval;
+    for (const auto &[key, value] : overrides)
+        applyOverride(cfg, key, value);
     return cfg;
 }
 
@@ -89,10 +190,14 @@ ExperimentSpec::toJson() const
     out["cores"] = JsonValue(cores);
     out["ops"] = JsonValue(ops);
     out["seed"] = JsonValue(seed);
-    // Emitted only when overridden so existing golden outputs (which
-    // predate the knob) stay byte-identical.
-    if (pinnedRetryInterval != kDefaultPinnedRetryInterval)
-        out["pinnedRetryInterval"] = JsonValue(pinnedRetryInterval);
+    // Emitted only when present so documents of override-free grids
+    // stay byte-identical with those written before overrides existed.
+    if (!overrides.empty()) {
+        JsonValue list = JsonValue::array();
+        for (const auto &[key, value] : overrides)
+            list.push(JsonValue(key + "=" + value));
+        out["overrides"] = std::move(list);
+    }
     return out;
 }
 
@@ -138,113 +243,6 @@ mixSeed(std::uint64_t base, std::uint64_t salt)
     z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
     return z ^ (z >> 31);
-}
-
-const std::vector<int> &
-knownFigures()
-{
-    static const std::vector<int> figs = {11, 12, 13, 14};
-    return figs;
-}
-
-Sweep
-figureSweep(int figure, std::uint64_t ops, unsigned cores,
-            std::uint64_t seed)
-{
-    Sweep sweep;
-    sweep.name = "fig" + std::to_string(figure);
-
-    auto addMicroGrid = [&](std::uint64_t defOps) {
-        const std::uint64_t n = ops ? ops : defOps;
-        for (auto kind : workload::allMicroKinds()) {
-            for (auto barrier : kBepVariants) {
-                ExperimentSpec spec;
-                spec.sweep = sweep.name;
-                spec.workload = workload::toString(kind);
-                spec.configLabel = persist::toString(barrier);
-                spec.pm = model::PersistencyModel::BufferedEpoch;
-                spec.barrier = barrier;
-                spec.cores = cores;
-                spec.ops = n;
-                spec.seed = seed;
-                sweep.jobs.push_back(std::move(spec));
-            }
-        }
-    };
-
-    struct BspConfig
-    {
-        const char *label;
-        model::PersistencyModel pm;
-        persist::BarrierKind barrier;
-        unsigned epochSize;
-        bool logging;
-    };
-
-    auto addBspGrid = [&](const std::vector<BspConfig> &configs,
-                          std::uint64_t defOps) {
-        const std::uint64_t n = ops ? ops : defOps;
-        for (const auto &preset : workload::syntheticPresetNames()) {
-            for (const BspConfig &c : configs) {
-                ExperimentSpec spec;
-                spec.sweep = sweep.name;
-                spec.workload = preset;
-                spec.configLabel = c.label;
-                spec.pm = c.pm;
-                spec.barrier = c.barrier;
-                spec.epochSize = c.epochSize;
-                spec.logging = c.logging;
-                spec.cores = cores;
-                spec.ops = n;
-                spec.seed = seed;
-                sweep.jobs.push_back(std::move(spec));
-            }
-        }
-    };
-
-    using model::PersistencyModel;
-    using persist::BarrierKind;
-
-    switch (figure) {
-    case 11: // BEP throughput, micros x {LB, LB+IDT, LB+PF, LB++}
-    case 12: // same grid; the metric (conflict %) differs
-        addMicroGrid(300);
-        break;
-    case 13: // BSP epoch-size study: NP baseline + LB at 300/1K/10K
-        addBspGrid(
-            {
-                {"NP", PersistencyModel::NoPersistency, BarrierKind::None,
-                 0, false},
-                {"LB300", PersistencyModel::BufferedStrict,
-                 BarrierKind::LB, 300, true},
-                {"LB1K", PersistencyModel::BufferedStrict, BarrierKind::LB,
-                 1000, true},
-                {"LB10K", PersistencyModel::BufferedStrict,
-                 BarrierKind::LB, 10000, true},
-            },
-            20000);
-        break;
-    case 14: // BSP variants at epoch size 10000
-        addBspGrid(
-            {
-                {"NP", PersistencyModel::NoPersistency, BarrierKind::None,
-                 0, false},
-                {"LB", PersistencyModel::BufferedStrict, BarrierKind::LB,
-                 10000, true},
-                {"LB+IDT", PersistencyModel::BufferedStrict,
-                 BarrierKind::LBIDT, 10000, true},
-                {"LB++", PersistencyModel::BufferedStrict,
-                 BarrierKind::LBPP, 10000, true},
-                {"LB++NOLOG", PersistencyModel::BufferedStrict,
-                 BarrierKind::LBPP, 10000, false},
-            },
-            20000);
-        break;
-    default:
-        fatal("figureSweep: unknown figure ", figure,
-              " (known: 11, 12, 13, 14)");
-    }
-    return sweep;
 }
 
 } // namespace persim::exp

@@ -9,9 +9,10 @@
  * vector of specs, and any subset can run on any thread in any order
  * without changing the results.
  *
- * figureSweep() expands the exact config grids of the paper's
- * Figures 11-14, so the bench binaries, the persim_sweep driver, and
- * the tests all share one definition of each figure.
+ * Knobs without a dedicated field reach the SystemConfig through the
+ * spec's ordered override list, so an ablation is just a grid whose
+ * columns carry different overrides. The grids
+ * themselves are defined once, in exp/figures.hh.
  */
 
 #ifndef PERSIM_EXP_SPEC_HH
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/workload_iface.hh"
@@ -60,15 +62,18 @@ struct ExperimentSpec
     std::uint64_t seed = 1;
 
     /**
-     * Backoff (cycles) before an LLC miss re-scans for a victim when
-     * every way of its set is pinned; see
-     * LlcBankConfig::pinnedRetryInterval. The default matches the
-     * historical hardcoded value, so figure outputs are unchanged
-     * unless a sweep overrides it.
+     * Ordered "key=value" config overrides, applied by toSystemConfig()
+     * after everything else. Keys: barrier.useArbiter,
+     * barrier.idtRegsPerEpoch, barrier.maxInflightEpochs,
+     * barrier.invalidatingFlush, barrier.avoidTaggedVictims,
+     * nvram.writeLatency, l1.policy, llc.policy, llc.sizeBytes and
+     * llc.pinnedRetryInterval; booleans are "true"/"false", policies
+     * "lru"/"random", numbers plain decimal. toSystemConfig() throws
+     * SimFatal naming the key on an unknown key or malformed value.
+     * Serialized only when non-empty, so grids without overrides keep
+     * their documents byte-identical.
      */
-    Tick pinnedRetryInterval = kDefaultPinnedRetryInterval;
-
-    static constexpr Tick kDefaultPinnedRetryInterval = 8;
+    std::vector<std::pair<std::string, std::string>> overrides;
 
     /**
      * When non-empty, the cell's cores replay this trace file (binary
@@ -135,20 +140,6 @@ struct Sweep
      */
     void shard(unsigned index, unsigned count);
 };
-
-/**
- * The full config grid of paper figure @p figure (11, 12, 13 or 14).
- *
- * @param ops   Operations per thread; 0 picks the figure's default
- *              (300 for the micro figures, 20000 for the BSP ones).
- * @param cores Core count (32 reproduces Table 1).
- * @param seed  Base workload seed.
- */
-Sweep figureSweep(int figure, std::uint64_t ops = 0, unsigned cores = 32,
-                  std::uint64_t seed = 1);
-
-/** The figures figureSweep() understands. */
-const std::vector<int> &knownFigures();
 
 /** Deterministic seed mixing (splitmix64) for derived per-job seeds. */
 std::uint64_t mixSeed(std::uint64_t base, std::uint64_t salt);

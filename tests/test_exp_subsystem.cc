@@ -189,6 +189,93 @@ TEST(ExpSpec, FigureSweepsHaveTheRightShape)
     EXPECT_THROW(exp::figureSweep(99), SimFatal);
 }
 
+TEST(ExpSpec, EveryNamedSweepExpandsAndBuildsItsConfigs)
+{
+    const std::vector<std::string> names = exp::knownSweepNames();
+    const std::vector<std::string> expected = {
+        "11", "12", "13", "14", "abl-flush-type", "abl-writethrough",
+        "abl-models", "abl-arbiter", "abl-idt-regs", "abl-epoch-window",
+        "abl-nvram-latency", "abl-replacement"};
+    EXPECT_EQ(names, expected);
+    for (const std::string &name : names) {
+        const exp::SweepDefinition &def = exp::findSweep(name);
+        const Sweep sweep = exp::makeSweep(def, 10, 4);
+        EXPECT_EQ(sweep.jobs.size(),
+                  def.workloads.size() * def.columns.size())
+            << name;
+        EXPECT_FALSE(def.tables.empty()) << name;
+        for (const ExperimentSpec &spec : sweep.jobs) {
+            EXPECT_EQ(spec.sweep, sweep.name);
+            EXPECT_NO_THROW(spec.toSystemConfig()) << spec.id();
+        }
+    }
+    const Sweep window = exp::makeSweep(exp::findSweep("abl-epoch-window"));
+    ASSERT_EQ(window.jobs.front().configLabel, "w2");
+    EXPECT_EQ(window.jobs.front().toSystemConfig().barrier.maxInflightEpochs,
+              2u);
+    EXPECT_THROW(exp::findSweep("abl-nope"), SimFatal);
+}
+
+TEST(ExpSpec, ConfigOverridesApplyInOrder)
+{
+    ExperimentSpec spec;
+    spec.cores = 4;
+    const model::SystemConfig base = spec.toSystemConfig();
+    spec.overrides = {{"llc.pinnedRetryInterval", "16"},
+                      {"l1.policy", "random"},
+                      {"llc.sizeBytes", "16384"},
+                      {"nvram.writeLatency", "90"},
+                      {"barrier.useArbiter", "false"},
+                      {"barrier.useArbiter", "true"},
+                      {"barrier.idtRegsPerEpoch", "2"}};
+    const model::SystemConfig cfg = spec.toSystemConfig();
+    EXPECT_EQ(cfg.llcBank.pinnedRetryInterval, 16u);
+    EXPECT_EQ(cfg.l1.geometry.policy, cache::ReplacementPolicy::Random);
+    EXPECT_EQ(cfg.llcBank.geometry.policy, base.llcBank.geometry.policy);
+    EXPECT_EQ(cfg.llcBank.geometry.sizeBytes, 16384u);
+    EXPECT_EQ(cfg.nvram.writeLatency, 90u);
+    EXPECT_TRUE(cfg.barrier.useArbiter); // the later entry wins
+    EXPECT_EQ(cfg.barrier.idtRegsPerEpoch, 2u);
+}
+
+TEST(ExpSpec, BadConfigOverrideIsANamedError)
+{
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"barrier.nope", "1"},
+        {"barrier.maxInflightEpochs", "8x"},
+        {"barrier.maxInflightEpochs", "99999999999"},
+        {"barrier.useArbiter", "yes"},
+        {"llc.policy", "fifo"},
+        {"nvram.writeLatency", ""},
+    };
+    for (const auto &[key, value] : bad) {
+        ExperimentSpec spec;
+        spec.cores = 4;
+        spec.overrides = {{key, value}};
+        try {
+            spec.toSystemConfig();
+            ADD_FAILURE() << key << "=" << value << " was accepted";
+        } catch (const SimFatal &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ExpSpec, OverridesSerializeOnlyWhenPresent)
+{
+    ExperimentSpec spec;
+    EXPECT_EQ(spec.toJson().get("overrides"), nullptr);
+    spec.overrides = {{"nvram.writeLatency", "90"},
+                      {"barrier.useArbiter", "false"}};
+    const JsonValue doc = spec.toJson();
+    const JsonValue *list = doc.get("overrides");
+    ASSERT_NE(list, nullptr);
+    ASSERT_EQ(list->size(), 2u);
+    EXPECT_EQ(list->at(0).asString(), "nvram.writeLatency=90");
+    EXPECT_EQ(list->at(1).asString(), "barrier.useArbiter=false");
+}
+
 TEST(ExpSpec, CrossSeedsExpandsDeterministically)
 {
     Sweep sweep = exp::figureSweep(11, 50, 4, 3);
@@ -383,6 +470,81 @@ TEST(ExpRunner, Fig11TableNormalizesLbToOne)
     while (std::getline(in, line))
         ++lines;
     EXPECT_EQ(lines, 7);
+}
+
+TEST(ExpFigures, MissingStatFailsLoudNamingIt)
+{
+    const ExperimentSpec spec = exp::figureSweep(12, 20, 4).jobs.front();
+    const JobOutcome good = exp::runJob(spec);
+    ASSERT_TRUE(good.ok) << good.error;
+    EXPECT_NO_THROW(exp::figureTable(12, {good}));
+    EXPECT_GT(exp::statValue(good, "persist.arbiter[*].epochsPersisted"),
+              0.0);
+
+    // Every instance of a per-arbiter stat gone: the "[*]" pattern
+    // matches nothing, and the table must refuse instead of reading 0.
+    JobOutcome broken = good;
+    const std::size_t removed = std::erase_if(
+        broken.stats, [](const auto &kv) {
+            return kv.first.ends_with(".flushInter");
+        });
+    ASSERT_EQ(removed, spec.cores);
+    try {
+        exp::figureTable(12, {broken});
+        ADD_FAILURE() << "a missing stat read as a value";
+    } catch (const SimFatal &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("persist.arbiter[*].flushInter"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("fig12"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(spec.id()), std::string::npos) << msg;
+    }
+
+    // Exact names fail the same way.
+    JobOutcome noMesh = good;
+    ASSERT_EQ(noMesh.stats.erase("mesh.packets"), 1u);
+    try {
+        exp::statValue(noMesh, "mesh.packets");
+        ADD_FAILURE() << "a missing stat read as a value";
+    } catch (const SimFatal &e) {
+        EXPECT_NE(std::string(e.what()).find("mesh.packets"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // A failed cell is a missing cell (0.0), not an error.
+    broken.ok = false;
+    const exp::FigureTable table = exp::figureTable(12, {broken});
+    ASSERT_EQ(table.cells.size(), 1u);
+    EXPECT_EQ(table.cells[0][0], 0.0);
+}
+
+TEST(ExpFigures, ParameterColumnsNormalizeToTheirOwnBaseline)
+{
+    // abl-nvram-latency divides LB++@v by LB@v and drops the LB@v
+    // columns, so the table holds one speedup per latency.
+    exp::SweepRunner runner([] {
+        exp::RunnerOptions opts;
+        opts.jobs = 2;
+        opts.progress = false;
+        return opts;
+    }());
+    const exp::SweepDefinition &def = exp::findSweep("abl-nvram-latency");
+    const std::vector<JobOutcome> outcomes =
+        runner.run(exp::makeSweep(def, 10, 4));
+    const std::vector<exp::FigureTable> tables =
+        exp::sweepTables(def, outcomes);
+    ASSERT_EQ(tables.size(), 2u);
+    const exp::FigureTable &speedup = tables[0];
+    ASSERT_EQ(speedup.cols.size(), 5u);
+    EXPECT_EQ(speedup.cols[0], "LB++@90");
+    const exp::FigureTable &raw = tables[1];
+    ASSERT_EQ(raw.cols.size(), 10u);
+    for (std::size_t c = 0; c < speedup.cols.size(); ++c)
+        EXPECT_DOUBLE_EQ(speedup.cells[0][c],
+                         raw.cells[0][2 * c + 1] / raw.cells[0][2 * c])
+            << speedup.cols[c];
 }
 
 // ---------------------------------------------------------------------

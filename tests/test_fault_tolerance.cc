@@ -388,6 +388,10 @@ TEST(Journal, GridFingerprintTracksResultRelevantFields)
     b.jobs[1].ops += 1;
     EXPECT_NE(exp::gridFingerprint(a.jobs),
               exp::gridFingerprint(b.jobs));
+    Sweep c = tinySweep(3);
+    c.jobs[2].overrides = {{"llc.pinnedRetryInterval", "16"}};
+    EXPECT_NE(exp::gridFingerprint(a.jobs),
+              exp::gridFingerprint(c.jobs));
 }
 
 TEST(Journal, InterruptedThenResumedSweepIsByteIdentical)

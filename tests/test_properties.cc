@@ -164,6 +164,14 @@ struct BspCase
     std::uint64_t seed;
 };
 
+// gtest's default printer dumps the struct's raw bytes, which include
+// the preset string's address; ASLR moves it on every run, and the
+// printed value ends up in the discovered ctest names.
+void PrintTo(const BspCase &c, std::ostream *os)
+{
+    *os << c.preset << "/e" << c.epochSize << "/s" << c.seed;
+}
+
 class BspProperties : public testing::TestWithParam<BspCase>
 {
 };

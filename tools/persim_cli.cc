@@ -19,6 +19,7 @@
 #include <string>
 
 #include "exp/stats_export.hh"
+#include "flags.hh"
 
 #include "model/recovery.hh"
 #include "sim/logging.hh"
@@ -128,15 +129,14 @@ main(int argc, char **argv)
         else if (arg == "--barrier")
             barrierName = value("--barrier");
         else if (arg == "--ops")
-            ops = std::strtoull(value("--ops").c_str(), nullptr, 10);
+            ops = tools::parseNum("--ops", value("--ops"));
         else if (arg == "--cores")
-            cores = static_cast<unsigned>(
-                std::strtoul(value("--cores").c_str(), nullptr, 10));
+            cores = tools::parseNumU32("--cores", value("--cores"));
         else if (arg == "--epoch-size")
-            epochSize = static_cast<unsigned>(std::strtoul(
-                value("--epoch-size").c_str(), nullptr, 10));
+            epochSize =
+                tools::parseNumU32("--epoch-size", value("--epoch-size"));
         else if (arg == "--seed")
-            seed = std::strtoull(value("--seed").c_str(), nullptr, 10);
+            seed = tools::parseNum("--seed", value("--seed"));
         else if (arg == "--stats")
             dumpStats = true;
         else if (arg == "--json")

@@ -29,6 +29,7 @@
 #include <string>
 
 #include "exp/json.hh"
+#include "flags.hh"
 #include "prof/profile.hh"
 #include "sim/logging.hh"
 
@@ -291,7 +292,7 @@ main(int argc, char **argv)
             for (int i = 3; i < argc; ++i) {
                 if (std::strcmp(argv[i], "--jobs") == 0 &&
                     i + 1 < argc)
-                    topJobs = std::strtoul(argv[++i], nullptr, 10);
+                    topJobs = tools::parseNum("--jobs", argv[++i]);
                 else
                     fatal("report: unknown option ", argv[i]);
             }
@@ -309,7 +310,8 @@ main(int argc, char **argv)
             for (int i = 4; i < argc; ++i) {
                 if (std::strcmp(argv[i], "--threshold") == 0 &&
                     i + 1 < argc)
-                    threshold = std::strtod(argv[++i], nullptr);
+                    threshold =
+                        tools::parseReal("--threshold", argv[++i]);
                 else
                     fatal("diff: unknown option ", argv[i]);
             }

@@ -2,9 +2,11 @@
  * @file
  * persim_sweep — parallel experiment-orchestration driver.
  *
- * Regenerates any paper figure's full data grid in one command:
+ * Regenerates any paper figure's or ablation's full data grid in one
+ * command:
  *
  *   persim_sweep --figure 11 --jobs 8 --out fig11.json
+ *   persim_sweep --figure abl-epoch-window --jobs 4
  *   persim_sweep --figure 13 --jobs 4 --csv fig13.csv
  *   persim_sweep --figure 11 --trace fig11.trace.json \
  *                --trace-job hash/LB++/s1 --trace-flags Epoch,Flush
@@ -17,14 +19,12 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -35,55 +35,27 @@
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "exp/trace_export.hh"
+#include "flags.hh"
 #include "prof/profile.hh"
 #include "sim/logging.hh"
 #include "workload/trace/trace_reader.hh"
 
 using namespace persim;
+using tools::parseNum;
+using tools::parseNumU32;
 
 namespace
 {
-
-/**
- * Strict decimal parse for flag values: the whole string must be a
- * non-negative integer. atoi-style coercion ("11x" -> 11, "abc" -> 0)
- * silently runs the wrong experiment; a named error is the only
- * acceptable outcome for a malformed value.
- */
-std::uint64_t
-parseNum(const char *flag, const std::string &v)
-{
-    std::uint64_t out = 0;
-    const char *begin = v.c_str();
-    const char *end = begin + v.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, out);
-    if (v.empty() || ec != std::errc() || ptr != end) {
-        std::fprintf(stderr,
-                     "%s wants a non-negative integer, got '%s'\n",
-                     flag, v.c_str());
-        std::exit(2);
-    }
-    return out;
-}
-
-unsigned
-parseNumU32(const char *flag, const std::string &v)
-{
-    const std::uint64_t n = parseNum(flag, v);
-    if (n > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "%s value '%s' is out of range\n", flag,
-                     v.c_str());
-        std::exit(2);
-    }
-    return static_cast<unsigned>(n);
-}
 
 void
 usage(const char *argv0)
 {
     std::printf(
-        "usage: %s --figure N [options]\n"
-        "  --figure N        paper figure to regenerate: 11, 12, 13, 14\n"
+        "usage: %s --figure NAME [options]\n"
+        "  --figure NAME     paper figure (11, 12, 13, 14) or ablation\n"
+        "                    (abl-...) to regenerate; --list alone "
+        "prints\n"
+        "                    every name\n"
         "  --jobs N          worker threads (default 1)\n"
         "  --ops N           operations per thread (default: figure's)\n"
         "  --cores N         simulated cores per job (default 32)\n"
@@ -104,8 +76,6 @@ usage(const char *argv0)
         "                    D/<sweep>_<id>.ptrace (id with '/' as '_')\n"
         "  --replay-dir D    replay each job from D/<sweep>_<id>.ptrace\n"
         "                    (the paths --capture-dir writes)\n"
-        "  --pinned-retry N  LLC pinned-victim retry backoff in cycles\n"
-        "                    (default 8; applied to every job)\n"
         "  --retries N       extra attempts per failed job (default 1);\n"
         "                    retries back off exponentially (100 ms "
         "base,\n"
@@ -167,7 +137,8 @@ usage(const char *argv0)
         "RSS,\n"
         "                    events/sec; separate from deterministic "
         "output)\n"
-        "  --list            print the job grid and exit\n"
+        "  --list            print the job grid and exit (without\n"
+        "                    --figure: print the --figure names)\n"
         "  --quiet           no per-job progress lines\n"
         "  --help\n",
         argv0);
@@ -178,7 +149,7 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    int figure = 0;
+    std::string figure;
     unsigned jobs = 1;
     std::uint64_t ops = 0;
     unsigned cores = 32;
@@ -208,7 +179,6 @@ main(int argc, char **argv)
     unsigned shardCount = 1;
     Tick intervalTicks = 0;
     bool intervalSet = false;
-    Tick pinnedRetry = exp::ExperimentSpec::kDefaultPinnedRetryInterval;
     bool includeStats = true;
     bool listOnly = false;
     bool liveProgress = false;
@@ -232,8 +202,7 @@ main(int argc, char **argv)
         else if (arg == "--replay-dir")
             replayDir = value("--replay-dir");
         else if (arg == "--figure")
-            figure = static_cast<int>(
-                parseNumU32("--figure", value("--figure")));
+            figure = value("--figure");
         else if (arg == "--jobs")
             jobs = parseNumU32("--jobs", value("--jobs"));
         else if (arg == "--ops")
@@ -244,9 +213,6 @@ main(int argc, char **argv)
             seed = parseNum("--seed", value("--seed"));
         else if (arg == "--seeds")
             numSeeds = parseNumU32("--seeds", value("--seeds"));
-        else if (arg == "--pinned-retry")
-            pinnedRetry =
-                parseNum("--pinned-retry", value("--pinned-retry"));
         else if (arg == "--retries")
             retries = parseNumU32("--retries", value("--retries"));
         else if (arg == "--job-timeout-ms")
@@ -268,10 +234,13 @@ main(int argc, char **argv)
             onlyPattern = value("--only");
         else if (arg == "--shard") {
             const std::string v = value("--shard");
-            if (std::sscanf(v.c_str(), "%u/%u", &shardIndex,
-                            &shardCount) != 2 ||
-                shardCount == 0 || shardIndex == 0 ||
-                shardIndex > shardCount) {
+            const std::size_t slash = v.find('/');
+            if (slash != std::string::npos) {
+                shardIndex = parseNumU32("--shard", v.substr(0, slash));
+                shardCount = parseNumU32("--shard", v.substr(slash + 1));
+            }
+            if (slash == std::string::npos || shardCount == 0 ||
+                shardIndex == 0 || shardIndex > shardCount) {
                 std::fprintf(stderr,
                              "--shard wants K/N with 1 <= K <= N, got "
                              "'%s'\n",
@@ -314,9 +283,25 @@ main(int argc, char **argv)
         }
     }
 
-    if (figure == 0) {
+    if (figure.empty() && listOnly) {
+        for (const std::string &n : exp::knownSweepNames())
+            std::printf("%s\n", n.c_str());
+        return 0;
+    }
+    if (figure.empty()) {
         std::fprintf(stderr, "--figure is required\n");
         usage(argv[0]);
+        return 2;
+    }
+    const exp::SweepDefinition *def = nullptr;
+    try {
+        def = &exp::findSweep(figure);
+    } catch (const SimFatal &e) {
+        std::fprintf(stderr, "--figure: %s\n", e.what());
+        return 2;
+    }
+    if (jobs == 0) {
+        std::fprintf(stderr, "--jobs wants at least 1 worker\n");
         return 2;
     }
 
@@ -345,9 +330,7 @@ main(int argc, char **argv)
     }
 
     try {
-        exp::Sweep sweep = exp::figureSweep(figure, ops, cores, seed);
-        for (exp::ExperimentSpec &spec : sweep.jobs)
-            spec.pinnedRetryInterval = pinnedRetry;
+        exp::Sweep sweep = exp::makeSweep(*def, ops, cores, seed);
 
         if (workloadFilter == "trace") {
             // Replace the workload axis with one row replaying the
@@ -446,6 +429,19 @@ main(int argc, char **argv)
         if (!replayDir.empty()) {
             for (exp::ExperimentSpec &spec : sweep.jobs)
                 spec.traceFile = tracePathFor(spec, replayDir);
+        }
+
+        if (!traceJob.empty() &&
+            std::none_of(sweep.jobs.begin(), sweep.jobs.end(),
+                         [&](const auto &spec) {
+                             return spec.id() == traceJob;
+                         })) {
+            std::fprintf(stderr,
+                         "--trace-job '%s' matches no job in %s (ids "
+                         "look like \"%s\")\n",
+                         traceJob.c_str(), sweep.name.c_str(),
+                         sweep.jobs.front().id().c_str());
+            return 2;
         }
 
         if (listOnly) {
@@ -592,7 +588,9 @@ main(int argc, char **argv)
             sh["count"] = exp::JsonValue(shardCount);
             doc["shard"] = std::move(sh);
         }
-        const exp::FigureTable table = exp::figureTable(figure, outcomes);
+        const std::vector<exp::FigureTable> tables =
+            exp::sweepTables(*def, outcomes);
+        const exp::FigureTable &table = tables.front();
         doc["table"] = exp::figureTableToJson(table);
 
         if (!outFile.empty()) {
@@ -718,7 +716,8 @@ main(int argc, char **argv)
             os << '\n';
         }
 
-        exp::printFigureTable(std::cout, table);
+        for (const exp::FigureTable &t : tables)
+            exp::printFigureTable(std::cout, t);
         return failed == 0 ? 0 : 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());

@@ -19,6 +19,7 @@
 #include <iostream>
 #include <string>
 
+#include "flags.hh"
 #include "sim/logging.hh"
 #include "workload/trace/trace_reader.hh"
 
@@ -241,9 +242,10 @@ main(int argc, char **argv)
             for (int i = 3; i < argc; ++i) {
                 const std::string arg = argv[i];
                 if (arg == "--thread" && i + 1 < argc)
-                    onlyThread = std::atoi(argv[++i]);
+                    onlyThread = static_cast<int>(
+                        tools::parseNumU32("--thread", argv[++i]));
                 else if (arg == "--limit" && i + 1 < argc)
-                    limit = std::strtoull(argv[++i], nullptr, 10);
+                    limit = tools::parseNum("--limit", argv[++i]);
                 else {
                     std::fprintf(stderr, "unknown dump option '%s'\n",
                                  arg.c_str());
