@@ -5,7 +5,7 @@
  * capture wrapper's overhead on a live workload, and replay issue
  * rate. A fig-grid capture writes a few records per simulated memory
  * op, so encode/decode throughput bounds how much tracing costs on
- * top of a sweep; BENCH_trace.json records the end-to-end numbers.
+ * top of a sweep; perfbench/ measures the end-to-end sweep cost.
  */
 
 #include <benchmark/benchmark.h>

@@ -529,7 +529,6 @@ LlcBank::handleFlushEpoch(CoreId core, EpochId epoch)
     simAssert(!job->walked, name(), ": duplicate FlushEpoch");
     job->outstanding += static_cast<std::uint32_t>(lines.size());
 
-    const Tick interval = _pc.config().flushIssueInterval;
     Tick offset = 0;
     for (Addr addr : lines) {
         scheduleIn(offset, [this, core, epoch, addr] {
@@ -549,7 +548,7 @@ LlcBank::handleFlushEpoch(CoreId core, EpochId epoch)
                              mc->handleWrite(std::move(req));
                          });
         });
-        offset += interval;
+        offset += persist::kFlushIssueInterval;
     }
     scheduleIn(offset, [this, core, epoch] {
         FlushJob *walkJob = findFlushJob(core, epoch);

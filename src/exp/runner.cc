@@ -538,14 +538,13 @@ SweepRunner::run(const Sweep &sweep)
         stopMonitor.store(true);
         monitor.join();
     }
-    _wallMs = msSince(start);
+    _telemetry.wallMs = msSince(start);
     _traceRecords = _recorder->records();
     if (profOn)
         prof::Sampler::stop();
 
     _telemetry.sweep = sweep.name;
     _telemetry.workers = _opts.jobs ? _opts.jobs : 1;
-    _telemetry.wallMs = _wallMs;
     _telemetry.peakRssKb = peakRssKb();
     _telemetry.hostCpus = hostCpuCount();
     _telemetry.loadAvg1 = loadAverage1();

@@ -317,16 +317,12 @@ class SweepRunner
      */
     const prof::SweepProfile &profile() const { return _profile; }
 
-    /** Total wall-clock of the last run() in milliseconds. */
-    double wallMs() const { return _wallMs; }
-
   private:
     RunnerOptions _opts;
     std::vector<trace::Record> _traceRecords;
     std::unique_ptr<trace::Recorder> _recorder;
     SweepTelemetry _telemetry;
     prof::SweepProfile _profile;
-    double _wallMs = 0.0;
 };
 
 /**

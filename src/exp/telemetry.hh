@@ -114,7 +114,7 @@ struct SweepTelemetry
     unsigned workers = 0;
     double wallMs = 0.0;
     std::uint64_t peakRssKb = 0;
-    /** Host shape, mirroring scripts/bench_lib.py's BENCH envelope. */
+    /** Host shape: CPU count and load, for judging wallMs. */
     unsigned hostCpus = 0;
     /** 1-minute load average at the end of the run; < 0 = unknown. */
     double loadAvg1 = -1.0;

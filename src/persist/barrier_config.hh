@@ -26,6 +26,9 @@ enum class BarrierKind
 /** Human-readable name, matching the paper's figures. */
 const char *toString(BarrierKind kind);
 
+/** Cycles between successive line-flush issues in a flush walk. */
+inline constexpr Tick kFlushIssueInterval = 1;
+
 /** Tunables of the persist-barrier hardware (§4.3 defaults). */
 struct BarrierConfig
 {
@@ -68,17 +71,8 @@ struct BarrierConfig
      */
     bool blockingBarrier = false;
 
-    /**
-     * Every store persists before the next becomes visible: the naive
-     * write-through design used as the Strict Persistency strawman.
-     */
-    bool writeThrough = false;
-
     /** Prefer untagged LLC victims to avoid replacement conflicts. */
     bool avoidTaggedVictims = true;
-
-    /** Cycles between successive line-flush issues in a flush walk. */
-    Tick flushIssueInterval = 1;
 
     /**
      * Use the per-core arbiter for flush coordination (O(n) messages).

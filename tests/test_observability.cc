@@ -416,8 +416,21 @@ TEST(ObsTelemetry, SweepRunnerFillsTelemetry)
         EXPECT_LT(jt.worker, 2u);
     }
 
+    // The host-timing fields a consumer of --telemetry-out reads.
     const JsonValue doc = tel.toJson();
-    EXPECT_EQ(doc.get("jobs")->size(), 4u);
+    ASSERT_NE(doc.get("wallMs"), nullptr);
+    EXPECT_GT(doc.get("wallMs")->asNumber(), 0.0);
+    for (const char *key : {"peakRssKb", "totalEvents", "eventsPerSec"})
+        ASSERT_NE(doc.get(key), nullptr) << key;
+    EXPECT_EQ(doc.get("totalEvents")->asNumber(),
+              static_cast<double>(tel.totalEvents()));
+    ASSERT_EQ(doc.get("jobs")->size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        const JsonValue &job = doc.get("jobs")->at(i);
+        for (const char *key : {"id", "wallMs", "events", "rssAfterKb"})
+            ASSERT_NE(job.get(key), nullptr) << "job " << i << ": " << key;
+        EXPECT_EQ(job.get("id")->asString(), sweep.jobs[i].id());
+    }
     EXPECT_NE(tel.summaryLine().find("4 jobs"), std::string::npos);
 }
 

@@ -18,14 +18,13 @@
 #include <iostream>
 #include <string>
 
+#include "exp/spec.hh"
 #include "exp/stats_export.hh"
 #include "flags.hh"
 
 #include "model/recovery.hh"
 #include "sim/logging.hh"
 #include "model/system.hh"
-#include "workload/synthetic/presets.hh"
-#include "workload/workload_factory.hh"
 
 using namespace persim;
 
@@ -54,16 +53,6 @@ usage(const char *argv0)
         "                    recoverability at every point\n"
         "  --help\n",
         argv0);
-}
-
-bool
-isMicro(const std::string &name)
-{
-    for (auto k : workload::allMicroKinds()) {
-        if (name == workload::toString(k))
-            return true;
-    }
-    return false;
 }
 
 persist::BarrierKind
@@ -101,13 +90,9 @@ parseModel(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    std::string workloadName = "hash";
+    exp::ExperimentSpec spec;
     std::string modelName;
     std::string barrierName = "LB++";
-    std::uint64_t ops = 300;
-    unsigned cores = 32;
-    unsigned epochSize = 10000;
-    std::uint64_t seed = 1;
     bool dumpStats = false;
     std::string jsonFile;
     bool debugState = false;
@@ -123,20 +108,20 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--workload")
-            workloadName = value("--workload");
+            spec.workload = value("--workload");
         else if (arg == "--model")
             modelName = value("--model");
         else if (arg == "--barrier")
             barrierName = value("--barrier");
         else if (arg == "--ops")
-            ops = tools::parseNum("--ops", value("--ops"));
+            spec.ops = tools::parseNum("--ops", value("--ops"));
         else if (arg == "--cores")
-            cores = tools::parseNumU32("--cores", value("--cores"));
+            spec.cores = tools::parseNumU32("--cores", value("--cores"));
         else if (arg == "--epoch-size")
-            epochSize =
+            spec.epochSize =
                 tools::parseNumU32("--epoch-size", value("--epoch-size"));
         else if (arg == "--seed")
-            seed = tools::parseNum("--seed", value("--seed"));
+            spec.seed = tools::parseNum("--seed", value("--seed"));
         else if (arg == "--stats")
             dumpStats = true;
         else if (arg == "--json")
@@ -156,41 +141,25 @@ main(int argc, char **argv)
     }
 
     try {
-        const bool micro = isMicro(workloadName);
         if (modelName.empty())
-            modelName = micro ? "BEP" : "BSP";
+            modelName = spec.isMicro() ? "BEP" : "BSP";
+        spec.pm = parseModel(modelName);
+        spec.barrier = parseBarrier(barrierName);
 
-        model::SystemConfig cfg =
-            cores == 32 ? model::SystemConfig::paperTable1()
-                        : model::SystemConfig::smallTest(cores);
-        applyPersistencyModel(cfg, parseModel(modelName),
-                              parseBarrier(barrierName), epochSize);
-        cfg.seed = seed;
+        model::SystemConfig cfg = spec.toSystemConfig();
         cfg.keepPersistLog = checkRecovery;
 
         model::System sys(cfg);
-        std::vector<std::unique_ptr<cpu::Workload>> workloads;
-        if (micro) {
-            workload::MicroConfig mc;
-            mc.kind = workload::microKindFromName(workloadName);
-            mc.numThreads = cores;
-            mc.opsPerThread = ops;
-            mc.seed = seed;
-            workloads = workload::makeMicroWorkloads(mc);
-        } else {
-            workloads = workload::makeSyntheticWorkloads(workloadName,
-                                                         cores, ops,
-                                                         seed);
-        }
-        for (unsigned t = 0; t < cores; ++t)
+        auto workloads = spec.buildWorkloads();
+        for (unsigned t = 0; t < spec.cores; ++t)
             sys.setWorkload(static_cast<CoreId>(t),
                             std::move(workloads[t]));
 
         std::printf("%s | %s | %s | %llu ops/thread | seed %llu\n",
-                    workloadName.c_str(), modelName.c_str(),
+                    spec.workload.c_str(), modelName.c_str(),
                     barrierName.c_str(),
-                    static_cast<unsigned long long>(ops),
-                    static_cast<unsigned long long>(seed));
+                    static_cast<unsigned long long>(spec.ops),
+                    static_cast<unsigned long long>(spec.seed));
         std::printf("%s\n", cfg.describe().c_str());
 
         model::SimResult res = sys.run();
@@ -211,7 +180,7 @@ main(int argc, char **argv)
             std::printf("  %s\n", res.violations[i].c_str());
 
         if (checkRecovery && sys.checker()) {
-            model::RecoveryAnalysis ra(sys.checker()->log(), cores);
+            model::RecoveryAnalysis ra(sys.checker()->log(), spec.cores);
             const std::size_t bad = ra.firstInconsistency();
             if (bad > ra.logSize()) {
                 std::printf("recovery: consistent at every crash point "
@@ -228,12 +197,12 @@ main(int argc, char **argv)
             sys.dumpStats(std::cout);
         if (!jsonFile.empty()) {
             exp::JsonValue doc = exp::JsonValue::object();
-            doc["workload"] = exp::JsonValue(workloadName);
+            doc["workload"] = exp::JsonValue(spec.workload);
             doc["model"] = exp::JsonValue(modelName);
             doc["barrier"] = exp::JsonValue(barrierName);
-            doc["cores"] = exp::JsonValue(cores);
-            doc["ops"] = exp::JsonValue(ops);
-            doc["seed"] = exp::JsonValue(seed);
+            doc["cores"] = exp::JsonValue(spec.cores);
+            doc["ops"] = exp::JsonValue(spec.ops);
+            doc["seed"] = exp::JsonValue(spec.seed);
             doc["result"] = exp::simResultToJson(res);
             doc["groups"] = exp::statGroupsToJson(sys.statGroups());
             std::ofstream os(jsonFile);

@@ -15,7 +15,7 @@
  * seed produce byte-identical files at any --jobs value, so sweep
  * artifacts can be diffed across commits (and across serial/parallel
  * runs). Wall-clock and scheduling info never enter --out; use
- * --timing-out for the host-dependent numbers.
+ * --telemetry-out for the host-dependent numbers.
  */
 
 #include <algorithm>
@@ -104,8 +104,6 @@ usage(const char *argv0)
         "  --only PATTERN    run only jobs whose id contains PATTERN\n"
         "                    (substring match on \"<workload>/<config>/"
         "s<seed>\")\n"
-        "  --timing-out FILE write host wall-clock info (separate file;\n"
-        "                    never part of the deterministic output)\n"
         "  --trace FILE      write a Chrome/Perfetto trace of one job\n"
         "  --trace-job ID    which job to trace (default: first);\n"
         "                    ID is \"<workload>/<config>/s<seed>\"\n"
@@ -161,7 +159,6 @@ main(int argc, char **argv)
     bool resume = false;
     std::string outFile;
     std::string csvFile;
-    std::string timingFile;
     std::string traceFile;
     std::string traceJob;
     std::string traceFlags = "all";
@@ -226,8 +223,6 @@ main(int argc, char **argv)
             outFile = value("--out");
         else if (arg == "--csv")
             csvFile = value("--csv");
-        else if (arg == "--timing-out")
-            timingFile = value("--timing-out");
         else if (arg == "--no-stats")
             includeStats = false;
         else if (arg == "--only")
@@ -685,37 +680,6 @@ main(int argc, char **argv)
             os << '\n';
             std::fprintf(stderr, "wrote %s\n", telemetryFile.c_str());
         }
-        if (!timingFile.empty()) {
-            const exp::SweepTelemetry &tel = runner.telemetry();
-            exp::JsonValue timing = exp::JsonValue::object();
-            timing["sweep"] = exp::JsonValue(sweep.name);
-            timing["workers"] = exp::JsonValue(jobs);
-            timing["jobCount"] = exp::JsonValue(outcomes.size());
-            timing["wallMs"] = exp::JsonValue(runner.wallMs());
-            timing["peakRssKb"] = exp::JsonValue(tel.peakRssKb);
-            timing["totalEvents"] = exp::JsonValue(tel.totalEvents());
-            timing["eventsPerSec"] = exp::JsonValue(tel.eventsPerSec());
-            exp::JsonValue perJob = exp::JsonValue::array();
-            for (std::size_t i = 0; i < outcomes.size(); ++i) {
-                const auto &o = outcomes[i];
-                exp::JsonValue j = exp::JsonValue::object();
-                j["id"] = exp::JsonValue(o.spec.id());
-                j["wallMs"] = exp::JsonValue(o.wallMs);
-                if (i < tel.jobs.size()) {
-                    j["events"] = exp::JsonValue(tel.jobs[i].events);
-                    j["rssAfterKb"] =
-                        exp::JsonValue(tel.jobs[i].rssAfterKb);
-                }
-                perJob.push(std::move(j));
-            }
-            timing["jobs"] = std::move(perJob);
-            std::ofstream os(timingFile);
-            if (!os)
-                fatal("cannot write ", timingFile);
-            timing.write(os, 2);
-            os << '\n';
-        }
-
         for (const exp::FigureTable &t : tables)
             exp::printFigureTable(std::cout, t);
         return failed == 0 ? 0 : 1;
