@@ -613,31 +613,6 @@ LlcBank::maybeBankAck(CoreId core, EpochId epoch)
 }
 
 void
-LlcBank::debugDump(std::ostream &os)
-{
-    if (_lines.empty() && _flushJobs.empty())
-        return;
-    os << name() << ":";
-    _lines.forEach([&](Addr addr, const LineEntry &e) {
-        if (!e.txns.empty()) {
-            const Txn &front = _txnPool.at(e.txns.head);
-            os << " busy[0x" << std::hex << addr << std::dec << "]x"
-               << e.txnCount << "(core " << front.core
-               << (front.isWrite ? " W" : " R") << ")";
-        }
-        if (!e.waiters.empty()) {
-            os << " pinWait[0x" << std::hex << addr << std::dec << "]x"
-               << testPinWaiters(addr);
-        }
-    });
-    for (const FlushJob &job : _flushJobs) {
-        os << " flushJob[core " << job.core << " epoch " << job.epoch
-           << "] out=" << job.outstanding << " walked=" << job.walked;
-    }
-    os << "\n";
-}
-
-void
 LlcBank::handlePersistCmp(CoreId core, EpochId epoch)
 {
     prof::ScopedPhase profPhase(prof::Phase::LlcBank);

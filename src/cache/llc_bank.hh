@@ -132,9 +132,6 @@ class LlcBank : public SimObject
     /** Lines with a queued transaction (interval-stat sampling). */
     std::size_t busyLines() const { return _busyLineCount; }
 
-    /** Dump in-flight transaction state (deadlock diagnosis). */
-    void debugDump(std::ostream &os);
-
     // ------------------------------------------------------------------
     // Test hooks (white-box pin-waiter coverage; not used by the model)
     // ------------------------------------------------------------------

@@ -16,7 +16,6 @@
 #include "prof/hw_counters.hh"
 #include "prof/phase.hh"
 #include "prof/sampler.hh"
-#include "sim/logging.hh"
 #include "workload/trace/trace_capture.hh"
 
 namespace persim::exp
@@ -33,20 +32,20 @@ msSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/**
- * Backoff before the @p retryIdx'th retry (1-based):
- * min(base << (retryIdx - 1), cap) ms, 0 when backoff is disabled.
- */
+/** Retry k sleeps min(kRetryBackoffMs << (k - 1), kRetryBackoffCapMs). */
+constexpr unsigned kRetryBackoffMs = 100;
+constexpr unsigned kRetryBackoffCapMs = 5000;
+
+/** Milliseconds between live telemetry lines (liveProgress). */
+constexpr unsigned kLiveIntervalMs = 2000;
+
+/** Backoff before the @p retryIdx'th retry (1-based), in ms. */
 unsigned
-backoffDelayMs(unsigned base, unsigned cap, unsigned retryIdx)
+backoffDelayMs(unsigned retryIdx)
 {
-    if (base == 0 || retryIdx == 0)
-        return 0;
     const unsigned shift = std::min(retryIdx - 1, 20u);
-    const std::uint64_t delay = static_cast<std::uint64_t>(base)
-                                << shift;
-    return static_cast<unsigned>(
-        std::min<std::uint64_t>(delay, cap ? cap : delay));
+    return static_cast<unsigned>(std::min<std::uint64_t>(
+        std::uint64_t{kRetryBackoffMs} << shift, kRetryBackoffCapMs));
 }
 
 } // namespace
@@ -67,86 +66,65 @@ JobOutcome::toJson(bool includeStats) const
     return out;
 }
 
-JobOutcome
-runJob(const ExperimentSpec &spec, const JobControl &ctl)
+void
+judgeResult(JobOutcome &out)
 {
-    JobOutcome out;
-    out.spec = spec;
-    const unsigned maxAttempts = ctl.maxAttempts ? ctl.maxAttempts : 1;
-
-    for (unsigned attempt = 1; attempt <= maxAttempts; ++attempt) {
-        out.attempts = attempt;
-        if (attempt > 1) {
-            // Bounded exponential backoff before each retry; an
-            // immediate re-attempt just re-hits whatever transient
-            // host condition (OOM pressure, fd exhaustion) failed the
-            // last one.
-            const unsigned delay = backoffDelayMs(
-                ctl.backoffBaseMs, ctl.backoffCapMs, attempt - 1);
-            if (delay)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(delay));
-        }
-        // onAttempt fires after the backoff sleep so the watchdog
-        // deadline measures simulation time, not backoff time.
-        if (ctl.onAttempt)
-            ctl.onAttempt(attempt);
-        if (ctl.cancel)
-            ctl.cancel->store(false, std::memory_order_relaxed);
-        out.timedOut = false;
-        const auto start = std::chrono::steady_clock::now();
-        try {
-            fault::maybeInject(ctl.index, ctl.cancel);
-            model::SystemConfig cfg = spec.toSystemConfig();
-            model::System sys(cfg);
-            sys.setCancelFlag(ctl.cancel);
-            std::shared_ptr<workload::trace::TraceCaptureWriter>
-                capture;
-            auto workloads = spec.buildWorkloads(&capture);
-            for (unsigned t = 0; t < cfg.numCores; ++t)
-                sys.setWorkload(static_cast<CoreId>(t),
-                                std::move(workloads[t]));
-            out.result = sys.run();
-            {
-                prof::ScopedPhase profPhase(prof::Phase::StatExport);
-                out.stats = sys.stats();
-                out.statTree = statGroupsToJson(sys.statGroups());
-            }
-            // Captures are written only for completed runs, so a
-            // retried attempt never leaves a partial trace behind.
-            if (capture)
-                capture->writeBinaryFile(spec.captureFile);
-            out.ok = true;
-            out.error.clear();
-            out.wallMs = msSince(start);
-            return out;
-        } catch (const SimCancelled &) {
-            // Watchdog deadline. Retried like any failure (a deadline
-            // miss can be host pressure, not just a real hang); the
-            // per-attempt cancel-flag reset above re-arms the clock.
-            out.ok = false;
-            out.timedOut = true;
-            out.error = "timeout";
-            out.wallMs = msSince(start);
-        } catch (const std::exception &e) {
-            out.ok = false;
-            out.error = e.what();
-            out.wallMs = msSince(start);
-        } catch (...) {
-            out.ok = false;
-            out.error = "unknown exception";
-            out.wallMs = msSince(start);
-        }
+    const model::SimResult &r = out.result;
+    std::string why;
+    if (r.timedOut)
+        why = "hit the simulation safety limit";
+    else if (r.deadlocked)
+        why = "deadlocked";
+    else if (!r.completed)
+        why = "did not drain";
+    if (!r.violations.empty()) {
+        if (!why.empty())
+            why += "; ";
+        why += std::to_string(r.violations.size()) +
+               " ordering violation(s); first: " + r.violations.front();
     }
-    return out;
+    out.ok = why.empty();
+    out.error = std::move(why);
 }
 
 JobOutcome
-runJob(const ExperimentSpec &spec, unsigned maxAttempts)
+runJob(const ExperimentSpec &spec, std::size_t index,
+       const std::atomic<bool> *cancel)
 {
-    JobControl ctl;
-    ctl.maxAttempts = maxAttempts;
-    return runJob(spec, ctl);
+    JobOutcome out;
+    out.spec = spec;
+    out.attempts = 1;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        fault::maybeInject(index, cancel);
+        model::SystemConfig cfg = spec.toSystemConfig();
+        model::System sys(cfg);
+        sys.setCancelFlag(cancel);
+        std::shared_ptr<workload::trace::TraceCaptureWriter> capture;
+        auto workloads = spec.buildWorkloads(&capture);
+        for (unsigned t = 0; t < cfg.numCores; ++t)
+            sys.setWorkload(static_cast<CoreId>(t),
+                            std::move(workloads[t]));
+        out.result = sys.run();
+        {
+            prof::ScopedPhase profPhase(prof::Phase::StatExport);
+            out.stats = sys.stats();
+            out.statTree = statGroupsToJson(sys.statGroups());
+        }
+        judgeResult(out);
+        // Captures are written only for ok runs, so a failed attempt
+        // never leaves a partial or suspect trace behind.
+        if (out.ok && capture)
+            capture->writeBinaryFile(spec.captureFile);
+    } catch (const std::exception &e) {
+        out.ok = false;
+        out.error = e.what();
+    } catch (...) {
+        out.ok = false;
+        out.error = "unknown exception";
+    }
+    out.wallMs = msSince(start);
+    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -338,8 +316,8 @@ SweepRunner::run(const Sweep &sweep)
     if (_opts.liveProgress) {
         monitor = std::thread([&] {
             while (!stopMonitor.load(std::memory_order_relaxed)) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    _opts.liveIntervalMs));
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(kLiveIntervalMs));
                 std::size_t counts[kJobStateCount] = {};
                 for (const auto &s : states)
                     ++counts[s.load(std::memory_order_relaxed)];
@@ -422,69 +400,46 @@ SweepRunner::run(const Sweep &sweep)
             counters->start();
         }
 
+        // The one attempt loop. The deadline clock and the retry
+        // policy stay here, where they survive any way an attempt (or
+        // a sandbox child) can die.
         const unsigned maxAttempts =
             _opts.maxAttempts ? _opts.maxAttempts : 1;
         JobOutcome outcome;
-        if (_opts.isolate) {
-            // Sandboxed: the child runs exactly one attempt; retry,
-            // backoff, and the deadline clock stay in the parent where
-            // they survive any way the child can die.
-            for (unsigned attempt = 1; attempt <= maxAttempts;
-                 ++attempt) {
-                if (attempt > 1) {
-                    state.store(static_cast<unsigned char>(
-                                    JobState::Retrying),
-                                std::memory_order_relaxed);
-                    const unsigned delay = backoffDelayMs(
-                        _opts.retryBackoffMs, _opts.retryBackoffCapMs,
-                        attempt - 1);
-                    if (delay)
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(delay));
-                }
-                cancelFlags[index].store(false,
-                                         std::memory_order_relaxed);
-                attemptStartMs[index].store(
-                    static_cast<std::uint64_t>(msSince(start)) + 1,
-                    std::memory_order_relaxed);
-                state.store(static_cast<unsigned char>(
-                                JobState::Isolated),
+        for (unsigned attempt = 1; attempt <= maxAttempts; ++attempt) {
+            if (attempt > 1) {
+                // Bounded exponential backoff: an immediate re-attempt
+                // just re-hits whatever transient host condition (OOM
+                // pressure, fd exhaustion) failed the last one.
+                state.store(static_cast<unsigned char>(JobState::Retrying),
                             std::memory_order_relaxed);
-                SandboxResult sr = runJobSandboxed(spec, index,
-                                                   &childPids[index]);
-                attemptStartMs[index].store(
-                    0, std::memory_order_relaxed);
-                outcome = std::move(sr.outcome);
-                outcome.attempts = attempt;
-                if (!outcome.ok &&
-                    cancelFlags[index].load(
-                        std::memory_order_relaxed)) {
-                    // The watchdog armed this kill; report it as a
-                    // timeout, not as an anonymous SIGKILL.
-                    outcome.timedOut = true;
-                    outcome.error = "timeout";
-                }
-                if (outcome.ok)
-                    break;
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(backoffDelayMs(attempt - 1)));
             }
-        } else {
-            JobControl ctl;
-            ctl.maxAttempts = maxAttempts;
-            ctl.backoffBaseMs = _opts.retryBackoffMs;
-            ctl.backoffCapMs = _opts.retryBackoffCapMs;
-            ctl.index = index;
-            ctl.cancel = &cancelFlags[index];
-            ctl.onAttempt = [&](unsigned attempt) {
-                if (attempt > 1)
-                    state.store(static_cast<unsigned char>(
-                                    JobState::Retrying),
-                                std::memory_order_relaxed);
-                attemptStartMs[index].store(
-                    static_cast<std::uint64_t>(msSince(start)) + 1,
-                    std::memory_order_relaxed);
-            };
-            outcome = runJob(spec, ctl);
+            // Armed after the backoff sleep, so the deadline measures
+            // the attempt, not the wait before it.
+            cancelFlags[index].store(false, std::memory_order_relaxed);
+            attemptStartMs[index].store(
+                static_cast<std::uint64_t>(msSince(start)) + 1,
+                std::memory_order_relaxed);
+            if (_opts.isolate) {
+                state.store(static_cast<unsigned char>(JobState::Isolated),
+                            std::memory_order_relaxed);
+                outcome = runJobSandboxed(spec, index, &childPids[index]);
+            } else {
+                outcome = runJob(spec, index, &cancelFlags[index]);
+            }
             attemptStartMs[index].store(0, std::memory_order_relaxed);
+            outcome.attempts = attempt;
+            if (!outcome.ok &&
+                cancelFlags[index].load(std::memory_order_relaxed)) {
+                // The watchdog cancelled or killed this attempt; report
+                // it as a timeout, not as SimCancelled or SIGKILL.
+                outcome.timedOut = true;
+                outcome.error = "timeout";
+            }
+            if (outcome.ok)
+                break;
         }
 
         if (profOn) {

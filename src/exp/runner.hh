@@ -16,10 +16,13 @@
  * what keeps all cores busy until the tail.
  *
  * Jobs are isolated: an exception inside one job (bad config, panic,
- * bug) is caught, retried up to maxAttempts times with bounded
- * exponential backoff, and recorded as a failed outcome; it never
- * takes down the sweep. Two optional layers harden that guarantee
- * against faults exceptions cannot catch:
+ * bug), a deadlock, a run that hits the simulation safety limit or an
+ * ordering violation fails that cell only. SweepRunner::run owns the
+ * one attempt loop: each attempt is a single runJob (or, with isolate,
+ * runJobSandboxed), and a failed cell is retried up to maxAttempts
+ * times with bounded exponential backoff before it is recorded as a
+ * failed outcome. Two optional layers harden that guarantee against
+ * faults exceptions cannot catch:
  *
  *   - Watchdog (RunnerOptions::jobTimeoutMs): a monitor thread tracks
  *     every attempt's deadline and flips a per-job cancel flag that
@@ -68,13 +71,16 @@ struct JobOutcome
     std::size_t index = 0;
     ExperimentSpec spec;
 
-    /** The job ran to the end without throwing. */
+    /**
+     * The last attempt ran to completion without throwing and with no
+     * ordering violation (judgeResult).
+     */
     bool ok = false;
 
     /** Attempts used (> 1 means at least one retry happened). */
     unsigned attempts = 0;
 
-    /** Exception text of the last failed attempt (failed jobs only). */
+    /** Why the last attempt failed (failed jobs only). */
     std::string error;
 
     /**
@@ -110,46 +116,26 @@ struct JobOutcome
     JsonValue toJson(bool includeStats = true) const;
 };
 
-/** Per-job execution controls for runJob (all optional). */
-struct JobControl
-{
-    /** Attempts (>= 1; retries happen only after exceptions/timeouts). */
-    unsigned maxAttempts = 1;
+/**
+ * The cell verdict: @p out is ok iff its result ran to completion with
+ * no ordering violation. Otherwise ok is false and error names every
+ * cause ("deadlocked", "hit the simulation safety limit", "N ordering
+ * violation(s); first: ...").
+ */
+void judgeResult(JobOutcome &out);
 
-    /**
-     * Backoff before retry k (k >= 1 retries already happened):
-     * min(backoffBaseMs << (k - 1), backoffCapMs) milliseconds.
-     * 0 disables the sleep (the historical immediate re-attempt).
-     */
-    unsigned backoffBaseMs = 100;
-    unsigned backoffCapMs = 5000;
-
-    /**
-     * Grid index of this job, used by the PERSIM_FAULT injection hook
-     * (exp/fault.hh). SIZE_MAX (default) never matches an injection.
-     */
-    std::size_t index = SIZE_MAX;
-
-    /**
-     * Watchdog flag: runJob clears it at the start of every attempt
-     * and hands it to System::run, which throws SimCancelled once a
-     * monitor sets it; the attempt is then recorded as "timeout".
-     */
-    std::atomic<bool> *cancel = nullptr;
-
-    /**
-     * Observer called at the start of every attempt (1-based), after
-     * any backoff sleep — so watchdog deadlines restarted here do not
-     * count the backoff against the job.
-     */
-    std::function<void(unsigned)> onAttempt;
-};
-
-/** Run one job synchronously on the calling thread. */
-JobOutcome runJob(const ExperimentSpec &spec, const JobControl &ctl);
-
-/** Convenience overload (tests): default controls, @p maxAttempts. */
-JobOutcome runJob(const ExperimentSpec &spec, unsigned maxAttempts = 1);
+/**
+ * Run one attempt of @p spec synchronously on the calling thread. An
+ * exception or a failing verdict (judgeResult) gives a failed outcome;
+ * such a cell writes no capture file.
+ *
+ * @param index  Grid index for the PERSIM_FAULT hook (exp/fault.hh);
+ *               SIZE_MAX never matches an injection.
+ * @param cancel Watchdog flag handed to System::run, which throws
+ *               SimCancelled once it reads true; nullptr disables it.
+ */
+JobOutcome runJob(const ExperimentSpec &spec, std::size_t index = SIZE_MAX,
+                  const std::atomic<bool> *cancel = nullptr);
 
 /**
  * Generic work-stealing index pool: runs fn(jobIndex) for every index
@@ -200,16 +186,11 @@ struct RunnerOptions
     /** Worker threads (1 = serial). */
     unsigned jobs = 1;
 
-    /** Attempts per job (>= 1; retries happen only after exceptions). */
-    unsigned maxAttempts = 2;
-
     /**
-     * Bounded exponential backoff between attempts: retry k sleeps
-     * min(retryBackoffMs << (k - 1), retryBackoffCapMs) ms. 0 restores
-     * the historical immediate re-attempt.
+     * Attempts per job (>= 1; retries happen only after a failed
+     * attempt). Retry k first sleeps min(100 ms << (k - 1), 5 s).
      */
-    unsigned retryBackoffMs = 100;
-    unsigned retryBackoffCapMs = 5000;
+    unsigned maxAttempts = 2;
 
     /**
      * Per-job wall-clock deadline in milliseconds, enforced per
@@ -260,14 +241,11 @@ struct RunnerOptions
     Tick counterWindow = 0;
 
     /**
-     * Live telemetry: print a periodic one-line state summary
-     * (queued/running/retrying/done/failed counts, events/sec, RSS) to
-     * stderr while the sweep runs, in addition to per-job progress.
+     * Live telemetry: print a one-line state summary (queued/running/
+     * retrying/done/failed counts, events/sec, RSS) to stderr every 2 s
+     * while the sweep runs, in addition to per-job progress.
      */
     bool liveProgress = false;
-
-    /** Milliseconds between live telemetry lines. */
-    unsigned liveIntervalMs = 2000;
 
     /**
      * Host-time profiling: arm the SIGPROF phase sampler for the whole

@@ -67,30 +67,30 @@ signalName(int sig)
     }
 }
 
-SandboxResult
+JobOutcome
 runJobSandboxed(const ExperimentSpec &spec, std::size_t gridIndex,
                 std::atomic<int> *childPid)
 {
-    SandboxResult sr;
-    sr.outcome.spec = spec;
-    sr.outcome.attempts = 1;
+    JobOutcome out;
+    out.spec = spec;
+    out.attempts = 1;
 
     int fds[2];
     if (::pipe(fds) != 0) {
-        sr.outcome.ok = false;
-        sr.outcome.error =
+        out.ok = false;
+        out.error =
             std::string("sandbox pipe failed: ") + std::strerror(errno);
-        return sr;
+        return out;
     }
 
     const pid_t pid = ::fork();
     if (pid < 0) {
         ::close(fds[0]);
         ::close(fds[1]);
-        sr.outcome.ok = false;
-        sr.outcome.error =
+        out.ok = false;
+        out.error =
             std::string("sandbox fork failed: ") + std::strerror(errno);
-        return sr;
+        return out;
     }
 
     if (pid == 0) {
@@ -100,14 +100,11 @@ runJobSandboxed(const ExperimentSpec &spec, std::size_t gridIndex,
         // shared with the parent's address space.
         ::close(fds[0]);
         ::signal(SIGPIPE, SIG_IGN);
-        JobControl ctl;
-        ctl.maxAttempts = 1;
-        ctl.index = gridIndex;
-        JobOutcome out = runJob(spec, ctl);
-        const std::string doc = outcomeToWire(out).dump(0);
+        const JobOutcome child = runJob(spec, gridIndex);
+        const std::string doc = outcomeToWire(child).dump(0);
         writeAll(fds[1], doc.data(), doc.size());
         ::close(fds[1]);
-        ::_exit(out.ok ? 0 : 1);
+        ::_exit(child.ok ? 0 : 1);
     }
 
     // Parent: read to EOF first (so a large document cannot deadlock
@@ -140,31 +137,29 @@ runJobSandboxed(const ExperimentSpec &spec, std::size_t gridIndex,
     if (!doc.empty()) {
         try {
             const JsonValue wire = JsonValue::parse(doc);
-            sr.outcome = outcomeFromWire(wire, spec, /*index=*/0);
+            out = outcomeFromWire(wire, spec, /*index=*/0);
             if (WIFEXITED(status))
-                sr.outcome.exitCode = WEXITSTATUS(status);
-            return sr;
+                out.exitCode = WEXITSTATUS(status);
+            return out;
         } catch (const std::exception &) {
             // Torn document: the child died mid-write. Fall through
             // to the crash classification below.
         }
     }
 
-    sr.childCrashed = true;
-    sr.outcome.ok = false;
+    out.ok = false;
     if (WIFSIGNALED(status)) {
-        sr.outcome.termSignal = signalName(WTERMSIG(status));
-        sr.outcome.error =
-            std::string("signal: ") + sr.outcome.termSignal;
+        out.termSignal = signalName(WTERMSIG(status));
+        out.error = std::string("signal: ") + out.termSignal;
     } else if (WIFEXITED(status)) {
-        sr.outcome.exitCode = WEXITSTATUS(status);
-        sr.outcome.error = "child exited with status " +
-                           std::to_string(WEXITSTATUS(status)) +
-                           " before reporting a result";
+        out.exitCode = WEXITSTATUS(status);
+        out.error = "child exited with status " +
+                    std::to_string(WEXITSTATUS(status)) +
+                    " before reporting a result";
     } else {
-        sr.outcome.error = "child vanished without a result";
+        out.error = "child vanished without a result";
     }
-    return sr;
+    return out;
 }
 
 } // namespace persim::exp

@@ -4,7 +4,7 @@
  *
  * Exceptions cover misconfiguration; they do not cover a segfault, an
  * abort(), or the OOM killer. With RunnerOptions::isolate each job
- * attempt forks into a sandbox child that runs the simulation and
+ * attempt forks into a sandbox child that runs it through runJob and
  * streams its JobOutcome back over a pipe as one compact JSON
  * document (the same wire format the journal uses), then _exit()s
  * without running static destructors. The parent reads to EOF, reaps
@@ -16,6 +16,9 @@
  *     ("signal: SIGSEGV"); the watchdog's SIGKILL is reported as
  *     "timeout" by the runner, which knows it armed the kill;
  *   - exited without a document -> failed outcome naming the status.
+ *
+ * runJobSandboxed is one attempt; retry, backoff and the deadline
+ * stay in SweepRunner::run's attempt loop in the parent.
  *
  * The child inherits PERSIM_FAULT, so injected segv/abort/hang faults
  * land inside the sandbox — which is exactly how CI proves a crash
@@ -34,27 +37,18 @@
 namespace persim::exp
 {
 
-/** What came back from one sandboxed attempt. */
-struct SandboxResult
-{
-    /** Fully-populated outcome (failed when the child crashed). */
-    JobOutcome outcome;
-
-    /** The child died without delivering an outcome document. */
-    bool childCrashed = false;
-};
-
 /**
- * Run one attempt of @p spec in a forked child.
+ * Run one attempt of @p spec in a forked child; the outcome is failed
+ * when the child's runJob failed or the child died without a result.
  *
  * @param gridIndex Grid index, forwarded for PERSIM_FAULT injection.
  * @param childPid  Published (> 0) while the child is alive so the
  *                  watchdog can SIGKILL an over-deadline job; reset
  *                  to 0 before returning. May be nullptr.
  */
-SandboxResult runJobSandboxed(const ExperimentSpec &spec,
-                              std::size_t gridIndex,
-                              std::atomic<int> *childPid);
+JobOutcome runJobSandboxed(const ExperimentSpec &spec,
+                           std::size_t gridIndex,
+                           std::atomic<int> *childPid);
 
 /** Stable name for a signal number: "SIGSEGV", else "SIG<n>". */
 const char *signalName(int sig);

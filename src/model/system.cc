@@ -204,25 +204,6 @@ System::run()
     return res;
 }
 
-std::map<std::string, double>
-System::stats()
-{
-    std::map<std::string, double> out;
-    _mesh->stats().toMap(out);
-    _pc->statsToMap(out);
-    for (auto &m : _mcs)
-        m->stats().toMap(out);
-    for (auto &l : _l1s)
-        l->stats().toMap(out);
-    for (auto &b : _banks)
-        b->stats().toMap(out);
-    for (auto &c : _cores)
-        c->stats().toMap(out);
-    if (_sampler)
-        _sampler->stats().toMap(out);
-    return out;
-}
-
 std::vector<const StatGroup *>
 System::statGroups() const
 {
@@ -242,30 +223,21 @@ System::statGroups() const
     return out;
 }
 
-void
-System::debugDump(std::ostream &os)
+std::map<std::string, double>
+System::stats()
 {
-    for (unsigned c = 0; c < _cfg.numCores; ++c)
-        _pc->arbiter(static_cast<CoreId>(c)).debugDump(os);
-    for (auto &b : _banks)
-        b->debugDump(os);
+    std::map<std::string, double> out;
+    for (const StatGroup *g : statGroups())
+        g->toMap(out);
+    return out;
 }
 
 void
 System::dumpStats(std::ostream &os)
 {
-    _mesh->stats().dump(os);
-    _pc->dumpStats(os);
-    for (auto &m : _mcs)
-        m->stats().dump(os);
-    for (auto &l : _l1s)
-        l->stats().dump(os);
-    for (auto &b : _banks)
-        b->stats().dump(os);
-    for (auto &c : _cores)
-        c->stats().dump(os);
-    if (_sampler)
-        _sampler->stats().dump(os);
+    for (const StatGroup *g : statGroups())
+        g->dump(os);
 }
+
 
 } // namespace persim::model

@@ -130,9 +130,6 @@ class System
     /** Dump all stats as text. */
     void dumpStats(std::ostream &os);
 
-    /** Dump live machine state (windows, bank queues) for diagnosis. */
-    void debugDump(std::ostream &os);
-
   private:
     void buildCores();
 

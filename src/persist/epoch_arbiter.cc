@@ -580,41 +580,6 @@ EpochArbiter::removeLiveLine(EpochId epoch)
 }
 
 void
-EpochArbiter::debugDump(std::ostream &os)
-{
-    os << name() << ": flushDemanded=" << _flushDemanded
-       << " target=" << _flushTarget
-       << " retireWaiters=" << _retireWaiters.size() << " window:";
-    for (EpochId i = _table.headId(); i < _table.nextId(); ++i) {
-        const Epoch &e = _table.at(i);
-        const char *st = "?";
-        switch (e.state) {
-          case EpochState::Ongoing:
-            st = "ongoing";
-            break;
-          case EpochState::Completed:
-            st = "completed";
-            break;
-          case EpochState::Flushing:
-            st = "FLUSHING";
-            break;
-          case EpochState::Persisted:
-            st = "persisted";
-            break;
-        }
-        os << " [" << e.id << " " << st << (e.closed ? "/closed" : "")
-           << " lines=" << e.linesLive << " fif=" << e.flushesInFlight
-           << " acks=" << e.bankAcksPending
-           << " logs=" << e.logWritesPending
-           << " ckpt=" << e.checkpointPending
-           << " deps=" << e.depRegs.size()
-           << " waiters=" << e.persistWaiters.size()
-           << " closeW=" << e.closeWaiters.size() << "]";
-    }
-    os << "\n";
-}
-
-void
 EpochArbiter::serviceRetireWaiters()
 {
     prof::ScopedPhase profPhase(prof::Phase::PersistArbiter);

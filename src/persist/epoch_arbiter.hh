@@ -6,7 +6,6 @@
 #ifndef PERSIM_PERSIST_EPOCH_ARBITER_HH
 #define PERSIM_PERSIST_EPOCH_ARBITER_HH
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -180,9 +179,6 @@ class EpochArbiter : public SimObject
 
     /** Re-examine the window head and start a flush if one is due. */
     void tryAdvance();
-
-    /** One-line state dump for deadlock diagnosis. */
-    void debugDump(std::ostream &os);
 
   private:
     Epoch *mustFind(EpochId epoch);

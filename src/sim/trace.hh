@@ -8,7 +8,7 @@
  * Enable them with the PERSIM_TRACE environment variable:
  *
  *   PERSIM_TRACE=Epoch,Flush ./examples/quickstart
- *   PERSIM_TRACE=all         ./build/tools/persim_cli ...
+ *   PERSIM_TRACE=all ./build/tools/persim_sweep --figure 11 --only hash/LB++/
  *
  * Tracing compiles in but is near-free when disabled: every probe
  * (tracef, trace::span, trace::counter) starts with an inlined

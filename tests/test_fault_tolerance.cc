@@ -122,8 +122,8 @@ TEST(Fault, FromEnvRereadsEveryCall)
 
 TEST(Fault, StandaloneRunJobIsNeverFaulted)
 {
-    // Library callers use the default JobControl index (SIZE_MAX),
-    // which must never match an injection directive.
+    // Library callers use the default grid index (SIZE_MAX), which
+    // must never match an injection directive.
     ScopedFault f("throw:0");
     const JobOutcome out = exp::runJob(tinySpec());
     EXPECT_TRUE(out.ok) << out.error;
@@ -195,42 +195,68 @@ TEST(Watchdog, FastJobsAreUntouched)
 
 TEST(Retry, BacksOffExponentiallyBetweenAttempts)
 {
-    ExperimentSpec bad = tinySpec();
-    bad.workload = "no-such-workload";
+    Sweep sweep;
+    sweep.name = "retry";
+    sweep.jobs.push_back(tinySpec());
+    sweep.jobs[0].workload = "no-such-workload";
 
-    exp::JobControl ctl;
-    ctl.maxAttempts = 3;
-    ctl.backoffBaseMs = 30;
-    ctl.backoffCapMs = 40; // second retry clamps: 30 + 40 ms total
+    exp::RunnerOptions opts;
+    opts.maxAttempts = 3;
+    opts.progress = false;
+    exp::SweepRunner runner(opts);
     const auto start = std::chrono::steady_clock::now();
-    const JobOutcome out = exp::runJob(bad, ctl);
+    const auto outcomes = runner.run(sweep);
     const double elapsed =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
 
-    EXPECT_FALSE(out.ok);
-    EXPECT_EQ(out.attempts, 3u);
-    EXPECT_GE(elapsed, 70.0); // both sleeps happened
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].ok);
+    EXPECT_EQ(outcomes[0].attempts, 3u);
+    EXPECT_GE(elapsed, 300.0); // both sleeps happened: 100 + 200 ms
 }
 
-TEST(Retry, ZeroBaseRestoresImmediateReattempt)
+// ---------------------------------------------------------------------
+// Cell verdict
+// ---------------------------------------------------------------------
+
+TEST(Verdict, FailsIncompleteOrViolatingRunsNamingTheCause)
 {
-    ExperimentSpec bad = tinySpec();
-    bad.workload = "no-such-workload";
+    auto judged = [](const model::SimResult &result) {
+        JobOutcome out;
+        out.result = result;
+        exp::judgeResult(out);
+        return out;
+    };
 
-    exp::JobControl ctl;
-    ctl.maxAttempts = 4;
-    ctl.backoffBaseMs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    const JobOutcome out = exp::runJob(bad, ctl);
-    const double elapsed =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
+    model::SimResult clean;
+    clean.completed = true;
+    const JobOutcome ok = judged(clean);
+    EXPECT_TRUE(ok.ok);
+    EXPECT_TRUE(ok.error.empty()) << ok.error;
 
-    EXPECT_EQ(out.attempts, 4u);
-    EXPECT_LT(elapsed, 1000.0);
+    model::SimResult deadlocked;
+    deadlocked.deadlocked = true;
+    const JobOutcome dl = judged(deadlocked);
+    EXPECT_FALSE(dl.ok);
+    EXPECT_NE(dl.error.find("deadlocked"), std::string::npos) << dl.error;
+
+    model::SimResult limit;
+    limit.timedOut = true;
+    const JobOutcome sl = judged(limit);
+    EXPECT_FALSE(sl.ok);
+    EXPECT_NE(sl.error.find("safety limit"), std::string::npos)
+        << sl.error;
+
+    model::SimResult violating = clean;
+    violating.violations.push_back("epoch 3 persisted before epoch 2");
+    const JobOutcome v = judged(violating);
+    EXPECT_FALSE(v.ok);
+    EXPECT_NE(v.error.find("1 ordering violation(s); first: epoch 3 "
+                           "persisted before epoch 2"),
+              std::string::npos)
+        << v.error;
 }
 
 // ---------------------------------------------------------------------

@@ -80,13 +80,13 @@ TEST(TraceReplay, RoundTripsEveryMicroBenchmark)
         const std::string path = tempTracePath("micro_" + name);
 
         ExperimentSpec direct = smallSpec(name, 50);
-        const JobOutcome directOut = exp::runJob(direct, 1);
+        const JobOutcome directOut = exp::runJob(direct);
         ASSERT_TRUE(directOut.ok) << name << ": " << directOut.error;
 
         // Capturing must not perturb the run in any observable way.
         ExperimentSpec capture = direct;
         capture.captureFile = path;
-        const JobOutcome captureOut = exp::runJob(capture, 1);
+        const JobOutcome captureOut = exp::runJob(capture);
         ASSERT_TRUE(captureOut.ok) << name << ": " << captureOut.error;
         EXPECT_EQ(outcomeJson(directOut), outcomeJson(captureOut))
             << name << ": capture perturbed the run";
@@ -94,7 +94,7 @@ TEST(TraceReplay, RoundTripsEveryMicroBenchmark)
         // Replaying the capture must reproduce the run bit for bit.
         ExperimentSpec replay = direct;
         replay.traceFile = path;
-        const JobOutcome replayOut = exp::runJob(replay, 1);
+        const JobOutcome replayOut = exp::runJob(replay);
         ASSERT_TRUE(replayOut.ok) << name << ": " << replayOut.error;
         EXPECT_EQ(outcomeJson(directOut), outcomeJson(replayOut))
             << name << ": replay diverged from the captured run";
@@ -107,18 +107,18 @@ TEST(TraceReplay, RoundTripsASyntheticWorkload)
 {
     const std::string path = tempTracePath("synthetic");
     ExperimentSpec direct = smallSpec("canneal", 300);
-    const JobOutcome directOut = exp::runJob(direct, 1);
+    const JobOutcome directOut = exp::runJob(direct);
     ASSERT_TRUE(directOut.ok) << directOut.error;
 
     ExperimentSpec capture = direct;
     capture.captureFile = path;
-    const JobOutcome captureOut = exp::runJob(capture, 1);
+    const JobOutcome captureOut = exp::runJob(capture);
     ASSERT_TRUE(captureOut.ok) << captureOut.error;
     EXPECT_EQ(outcomeJson(directOut), outcomeJson(captureOut));
 
     ExperimentSpec replay = direct;
     replay.traceFile = path;
-    const JobOutcome replayOut = exp::runJob(replay, 1);
+    const JobOutcome replayOut = exp::runJob(replay);
     ASSERT_TRUE(replayOut.ok) << replayOut.error;
     EXPECT_EQ(outcomeJson(directOut), outcomeJson(replayOut));
 
@@ -130,7 +130,7 @@ TEST(TraceReplay, CapturedTraceCarriesMetaAndTransactions)
     const std::string path = tempTracePath("meta");
     ExperimentSpec capture = smallSpec("queue", 40);
     capture.captureFile = path;
-    const JobOutcome out = exp::runJob(capture, 1);
+    const JobOutcome out = exp::runJob(capture);
     ASSERT_TRUE(out.ok) << out.error;
 
     auto reader = workload::trace::openTrace(path);
@@ -255,12 +255,12 @@ TEST(TraceReplay, ReplayIsDeterministicAcrossRuns)
     const std::string path = tempTracePath("deterministic");
     ExperimentSpec capture = smallSpec("sps", 40);
     capture.captureFile = path;
-    ASSERT_TRUE(exp::runJob(capture, 1).ok);
+    ASSERT_TRUE(exp::runJob(capture).ok);
 
     ExperimentSpec replay = smallSpec("sps", 40);
     replay.traceFile = path;
-    const JobOutcome a = exp::runJob(replay, 1);
-    const JobOutcome b = exp::runJob(replay, 1);
+    const JobOutcome a = exp::runJob(replay);
+    const JobOutcome b = exp::runJob(replay);
     ASSERT_TRUE(a.ok && b.ok);
     EXPECT_EQ(outcomeJson(a), outcomeJson(b));
     std::remove(path.c_str());
