@@ -1,20 +1,22 @@
 /**
  * @file
- * Microbenchmarks for the event-kernel hot path: schedule/run and
- * schedule/cancel churn at 1M events, with small and oversized
- * captures, plus the InlineFunction construct/invoke cost in
- * isolation. These are the operations every simulated cycle pays for;
- * perfbench/ measures the end-to-end figure-level effect.
+ * Microbenchmarks for the event-kernel hot path: schedule/run of 1M
+ * events with small and oversized captures, a steady-state window of
+ * self-rescheduling events, plus the InlineFunction construct/invoke
+ * cost in isolation. These are the operations every simulated cycle
+ * pays for; perfbench/ measures the end-to-end figure-level effect.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 
 #include "prof/phase.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_callback.hh"
+#include "sim/rng.hh"
 #include "sim/trace.hh"
 
 namespace
@@ -95,26 +97,47 @@ BM_ScheduleRun_ArenaCapture(benchmark::State &state)
 }
 BENCHMARK(BM_ScheduleRun_ArenaCapture)->Unit(benchmark::kMillisecond);
 
-/** Schedule + cancel churn: every second event is cancelled before the
- * drain. Exercises the generation-bit cancel and node recycling. */
+/**
+ * Steady-state window: a fixed live set of kLiveEvents events, each
+ * rescheduling itself with a delay drawn at run time from the spread a
+ * figure sweep produces (pipeline steps, NoC hops, LLC and NVM
+ * latencies). Unlike the 1M-up-front benchmarks above, the pool and
+ * wheel stay at the size a sweep actually builds.
+ */
 void
-BM_ScheduleCancelRun(benchmark::State &state)
+BM_SteadyStateWindow(benchmark::State &state)
 {
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
+    static constexpr Tick kDelays[] = {1, 2, 3, 30, 60, 200, 400};
+    static constexpr std::uint64_t kLiveEvents = 2000;
+
+    struct Window
+    {
         EventQueue eq;
-        for (std::uint64_t i = 0; i < kEvents; ++i) {
-            auto id = eq.schedule(i & 1023, [&sink] { ++sink; });
-            if (i & 1)
-                eq.cancel(id);
+        persim::Rng rng{1};
+        std::uint64_t remaining = kEvents;
+
+        void
+        fire()
+        {
+            if (remaining == 0)
+                return;
+            --remaining;
+            eq.scheduleIn(kDelays[rng.below(std::size(kDelays))],
+                          [this] { fire(); });
         }
-        eq.run();
+    };
+
+    for (auto _ : state) {
+        Window w;
+        for (std::uint64_t i = 0; i < kLiveEvents; ++i)
+            w.fire();
+        w.eq.run();
+        benchmark::DoNotOptimize(w.eq.executed());
     }
-    benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * kEvents));
 }
-BENCHMARK(BM_ScheduleCancelRun)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SteadyStateWindow)->Unit(benchmark::kMillisecond);
 
 /** Steady-state self-rescheduling chain (the shape simulation objects
  * actually produce: one event in flight per object). */

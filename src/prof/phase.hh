@@ -84,7 +84,7 @@ struct ThreadBlock
 };
 
 /** The calling thread's block; nullptr until Sampler::attachThread. */
-extern thread_local ThreadBlock *tlBlock;
+extern constinit thread_local ThreadBlock *tlBlock;
 
 } // namespace detail
 

@@ -9,91 +9,59 @@
 namespace persim
 {
 
-std::uint32_t
-EventQueue::allocNode()
+EventQueue::~EventQueue()
 {
-    if (_freeHead != kNoIndex) {
-        const std::uint32_t slot = _freeHead;
-        _freeHead = _pool[slot].nextFree;
-        _pool[slot].nextFree = kNoIndex;
-        return slot;
+    // Release the captures of every event still pending: wheel FIFOs
+    // first, then the overflow heap. Free nodes hold no callback.
+    for (std::size_t pos = 0; pos < kWheelSlots; ++pos) {
+        for (std::uint32_t i = _head[pos]; i != kNoIndex;) {
+            Node &n = node(i);
+            i = n.next;
+            n.cb.~Callback();
+        }
     }
-    simAssert(_pool.size() < kNoIndex, "event pool exhausted");
-    _pool.emplace_back();
-    return static_cast<std::uint32_t>(_pool.size() - 1);
+    for (const HeapEntry &e : _heap)
+        node(e.idx).cb.~Callback();
 }
 
 void
-EventQueue::releaseNode(std::uint32_t slot)
+EventQueue::growPool()
 {
-    Node &n = _pool[slot];
-    n.cb = Callback();
-    // Invalidate every outstanding handle to this incarnation; skip a
-    // generation on wrap so ids never read as (gen 0, slot 0) == 0.
-    if (++n.gen == 0)
-        n.gen = 1;
-    n.inUse = false;
-    n.cancelled = false;
-    n.nextFree = _freeHead;
-    _freeHead = slot;
+    const std::size_t base = _chunks.size() * kChunkNodes;
+    simAssert(base + kChunkNodes <= kNoIndex, "event pool exhausted");
+    _chunks.push_back(std::make_unique<Node[]>(kChunkNodes));
+    // Thread the new chunk onto the free list in index order.
+    for (std::uint32_t i = kChunkNodes; i-- > 0;)
+        freeNode(static_cast<std::uint32_t>(base + i));
 }
 
 void
-EventQueue::pushWheel(Tick when, std::uint32_t slot)
+EventQueue::pushWheel(Tick when, std::uint32_t idx)
 {
-    const std::size_t pos = static_cast<std::size_t>(when) & kWheelMask;
-    std::vector<std::uint32_t> &vec = _slots[pos];
-    if (vec.empty())
+    const std::size_t pos = wheelPos(when);
+    node(idx).next = kNoIndex;
+    if (_head[pos] == kNoIndex) {
+        _head[pos] = idx;
         setOccupied(pos);
-    vec.push_back(slot);
+    } else {
+        node(_tail[pos]).next = idx;
+    }
+    _tail[pos] = idx;
     ++_wheelCount;
 }
 
-EventQueue::EventId
-EventQueue::schedule(Tick when, Callback cb)
+void
+EventQueue::enqueue(Tick when, std::uint32_t idx)
 {
-    simAssert(when >= _now, "event scheduled in the past: when=", when,
-              " now=", _now);
-    simAssert(static_cast<bool>(cb), "null event callback");
-    const std::uint32_t slot = allocNode();
-    Node &n = _pool[slot];
-    n.cb = std::move(cb);
-    n.inUse = true;
     // _cursor == _now whenever user code runs, so when >= _cursor and
     // the window test below is a plain subtraction.
     if (when - _cursor < kWheelSlots) {
-        pushWheel(when, slot);
+        pushWheel(when, idx);
     } else {
-        _heap.push_back(HeapEntry{when, _nextSeq++, slot});
+        _heap.push_back(HeapEntry{when, _nextSeq++, idx});
         siftUp(_heap.size() - 1);
     }
     ++_numLive;
-    return (static_cast<EventId>(n.gen) << 32) | slot;
-}
-
-EventQueue::EventId
-EventQueue::scheduleIn(Tick delay, Callback cb)
-{
-    simAssert(delay <= kTickNever - _now,
-              "scheduleIn overflow: now=", _now, " delay=", delay,
-              " wraps Tick");
-    return schedule(_now + delay, std::move(cb));
-}
-
-void
-EventQueue::cancel(EventId id)
-{
-    const std::uint32_t slot = static_cast<std::uint32_t>(id);
-    const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= _pool.size())
-        return; // never issued
-    Node &n = _pool[slot];
-    if (!n.inUse || n.gen != gen || n.cancelled)
-        return; // already fired, cancelled, or recycled: no-op
-    n.cancelled = true;
-    n.cb = Callback(); // release the capture eagerly
-    ++_numCancelled;
-    --_numLive;
 }
 
 // The overflow heap is 4-ary: a wider node halves the tree depth while
@@ -143,7 +111,7 @@ void
 EventQueue::drainOverflow()
 {
     while (!_heap.empty() && _heap.front().when - _cursor < kWheelSlots) {
-        pushWheel(_heap.front().when, _heap.front().slot);
+        pushWheel(_heap.front().when, _heap.front().idx);
         _heap.front() = _heap.back();
         _heap.pop_back();
         if (!_heap.empty())
@@ -154,7 +122,7 @@ EventQueue::drainOverflow()
 Tick
 EventQueue::nextOccupiedTick() const
 {
-    const std::size_t p0 = static_cast<std::size_t>(_cursor) & kWheelMask;
+    const std::size_t p0 = wheelPos(_cursor);
     // First (partial) word: positions strictly after the cursor's.
     const std::size_t start = (p0 + 1) & kWheelMask;
     std::size_t word = start >> 6;
@@ -181,25 +149,10 @@ EventQueue::nextOccupiedTick() const
 }
 
 bool
-EventQueue::findNextLive(Tick limit)
+EventQueue::findNext(Tick limit)
 {
     drainOverflow();
-    while (true) {
-        const std::size_t pos =
-            static_cast<std::size_t>(_cursor) & kWheelMask;
-        std::vector<std::uint32_t> &vec = _slots[pos];
-        while (_slotIdx < vec.size()) {
-            const std::uint32_t slot = vec[_slotIdx];
-            if (!_pool[slot].cancelled)
-                return true;
-            releaseNode(slot);
-            --_numCancelled;
-            --_wheelCount;
-            ++_slotIdx;
-        }
-        vec.clear();
-        _slotIdx = 0;
-        clearOccupied(pos);
+    while (_head[wheelPos(_cursor)] == kNoIndex) {
         if (_wheelCount > 0) {
             const Tick next = nextOccupiedTick();
             if (next > limit)
@@ -212,50 +165,57 @@ EventQueue::findNextLive(Tick limit)
         }
         drainOverflow();
     }
-    // Nothing live at tick <= limit. Park the cursor where later
-    // schedules (which satisfy when >= now()) cannot land behind it:
-    // at the limit runUntil() will advance now() to, or back at now()
-    // for an unbounded search over a drained queue.
+    if (_head[wheelPos(_cursor)] != kNoIndex)
+        return true;
+    // Nothing at tick <= limit. Park the cursor where later schedules
+    // (which satisfy when >= now()) cannot land behind it: at the
+    // limit runUntil() will advance now() to, or back at now() for an
+    // unbounded search over a drained queue.
     _cursor = limit == kTickNever ? _now : limit;
-    _slotIdx = 0;
     drainOverflow();
     return false;
 }
 
 void
-EventQueue::consumeTop(Callback &cb)
+EventQueue::dispatchHead()
 {
-    const std::size_t pos = static_cast<std::size_t>(_cursor) & kWheelMask;
-    const std::uint32_t slot = _slots[pos][_slotIdx++];
+    const std::size_t pos = wheelPos(_cursor);
+    const std::uint32_t idx = _head[pos];
+    Node &n = node(idx);
+    _head[pos] = n.next;
+    if (n.next == kNoIndex)
+        clearOccupied(pos);
     --_wheelCount;
-    cb = std::move(_pool[slot].cb);
-    // Release before invoking: a cancel of this (fired) handle must be
-    // a no-op, and the callback may itself schedule into the freed slot.
-    releaseNode(slot);
     --_numLive;
-}
+    simAssert(_cursor >= _now, "time went backwards");
+    _now = _cursor;
+    ++_executed;
 
-bool
-EventQueue::popLive(Tick &when, Callback &cb)
-{
-    if (!findNextLive(kTickNever))
-        return false;
-    consumeTop(cb);
-    when = _cursor;
-    return true;
+    // The node is off every list while its callback runs, so the
+    // callback may schedule freely (chunks never move). The guard
+    // destroys the capture and frees the node on return or on a
+    // throw (SimPanic) alike.
+    struct Release
+    {
+        EventQueue &q;
+        std::uint32_t idx;
+        Node &n;
+
+        ~Release()
+        {
+            n.cb.~Callback();
+            q.freeNode(idx);
+        }
+    } release{*this, idx, n};
+    n.cb();
 }
 
 bool
 EventQueue::runNext()
 {
-    Tick when;
-    Callback cb;
-    if (!popLive(when, cb))
+    if (!findNext(kTickNever))
         return false;
-    simAssert(when >= _now, "time went backwards");
-    _now = when;
-    ++_executed;
-    cb();
+    dispatchHead();
     return true;
 }
 
@@ -272,13 +232,9 @@ std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
     std::uint64_t count = 0;
-    while (findNextLive(limit)) {
-        Callback cb;
-        consumeTop(cb);
-        _now = _cursor;
-        ++_executed;
+    while (findNext(limit)) {
+        dispatchHead();
         ++count;
-        cb();
     }
     if (_now < limit)
         _now = limit;

@@ -13,23 +13,28 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_callback.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace persim
 {
 
 /**
- * Deterministic timing-wheel event queue over pooled event nodes.
+ * Deterministic timing-wheel event queue over stable pooled nodes.
  *
  * Events within the wheel horizon (kWheelSlots ticks — which covers
  * nearly every event the simulator schedules, since component delays
  * are at most a few hundred cycles) go to a per-tick FIFO slot:
- * schedule and pop are O(1) appends/scans with no sifting at all.
- * Events beyond the horizon go to a small 4-ary min-heap of POD
- * entries (tick, sequence, pool slot) and drain into the wheel as the
+ * schedule and pop are O(1) list appends/unlinks with no sifting at
+ * all. Events beyond the horizon go to a small 4-ary min-heap of POD
+ * entries (tick, sequence, pool index) and drain into the wheel as the
  * cursor advances. Ordering is exactly (tick, schedule order): wheel
  * slots are FIFO and the overflow drains into a slot strictly before
  * any same-tick direct insert can reach it (drains happen on every
@@ -37,25 +42,20 @@ namespace persim
  * the window, which implies earlier overflow entries for that tick
  * have already drained).
  *
- * Callbacks live in a free-list pool of nodes recycled for the
- * lifetime of the queue. Cancellation flips a bit in the node — O(1),
- * no hashing, no unbounded side table — and each node carries a
- * generation counter so stale handles (fired, cancelled, or recycled
- * events) are rejected without any bookkeeping growth.
+ * Each callback is constructed directly in a pool node, runs there and
+ * is destroyed there: nodes live in fixed-size chunks that never move,
+ * so a callback may schedule (and grow the pool) while it runs. A
+ * wheel slot is an intrusive singly linked FIFO threaded through the
+ * nodes' next index; freed nodes go on a LIFO free list through the
+ * same field.
  */
 class EventQueue
 {
   public:
     using Callback = InlineCallback;
 
-    /**
-     * Handle for cancelling a scheduled event. 0 is never returned.
-     * Encodes (generation << 32 | pool slot); handles are never reused:
-     * the generation advances whenever a node fires or is cancelled.
-     */
-    using EventId = std::uint64_t;
-
-    EventQueue() = default;
+    EventQueue() { _head.fill(kNoIndex); }
+    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -64,30 +64,49 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Schedule @p cb to run at absolute tick @p when.
+     * Schedule @p f to run at absolute tick @p when.
+     *
+     * The Callback is constructed in place in its event node from
+     * @p f (a closure, or a Callback to move from).
      *
      * @param when Absolute tick; must be >= now().
-     * @param cb Callback executed when the event fires.
-     * @return A handle usable with cancel().
+     * @param f Callable executed when the event fires.
      */
-    EventId schedule(Tick when, Callback cb);
+    template <typename F>
+    void
+    schedule(Tick when, F &&f)
+    {
+        simAssert(when >= _now, "event scheduled in the past: when=", when,
+                  " now=", _now);
+        if constexpr (std::is_same_v<std::decay_t<F>, Callback>)
+            simAssert(static_cast<bool>(f), "null event callback");
+        const std::uint32_t idx = allocNode();
+        try {
+            ::new (static_cast<void *>(&node(idx).cb))
+                Callback(std::forward<F>(f));
+        } catch (...) {
+            freeNode(idx);
+            throw;
+        }
+        enqueue(when, idx);
+    }
 
     /**
-     * Schedule @p cb to run @p delay ticks from now.
+     * Schedule @p f to run @p delay ticks from now.
      *
      * Asserts that now() + delay does not overflow Tick — a wrapped sum
      * would otherwise surface as a confusing "scheduled in the past"
      * panic (or, worse, a silently early event).
      */
-    EventId scheduleIn(Tick delay, Callback cb);
-
-    /**
-     * Cancel a previously scheduled event.
-     *
-     * Cancelling an event that already fired (or was already cancelled)
-     * is a no-op; handles are never reused.
-     */
-    void cancel(EventId id);
+    template <typename F>
+    void
+    scheduleIn(Tick delay, F &&f)
+    {
+        simAssert(delay <= kTickNever - _now,
+                  "scheduleIn overflow: now=", _now, " delay=", delay,
+                  " wraps Tick");
+        schedule(_now + delay, std::forward<F>(f));
+    }
 
     /**
      * Pop and execute the next event.
@@ -111,32 +130,14 @@ class EventQueue
      */
     std::uint64_t runUntil(Tick limit);
 
-    /** True when no live events remain. */
+    /** True when no events remain. */
     bool empty() const { return _numLive == 0; }
 
-    /** Number of live (non-cancelled) events pending. */
+    /** Number of events pending. */
     std::size_t pending() const { return _numLive; }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return _executed; }
-
-    // ------------------------------------------------------------------
-    // Pool probes (regression tests and diagnostics)
-    // ------------------------------------------------------------------
-
-    /** Cancelled events still occupying a pool node (bounded by the
-     * number of in-flight events; a cancel of a fired/stale handle
-     * leaves no residue at all). */
-    std::size_t pendingCancellations() const { return _numCancelled; }
-
-    /** Total nodes ever created (pool high-water mark). */
-    std::size_t poolAllocated() const { return _pool.size(); }
-
-    /** Nodes currently parked on the free list. */
-    std::size_t poolFree() const
-    {
-        return _pool.size() - _numLive - _numCancelled;
-    }
 
   private:
     static constexpr std::uint32_t kNoIndex = UINT32_MAX;
@@ -146,14 +147,23 @@ class EventQueue
     static constexpr std::size_t kWheelSlots = 4096;
     static constexpr std::size_t kWheelMask = kWheelSlots - 1;
     static constexpr std::size_t kWheelWords = kWheelSlots / 64;
+    /** Nodes per pool chunk (power of two). */
+    static constexpr std::uint32_t kChunkShift = 8;
+    static constexpr std::uint32_t kChunkNodes = 1u << kChunkShift;
 
+    /** Pool node. cb is constructed only while the node holds a
+     * scheduled or running event; next links the node into a wheel
+     * slot's FIFO or the free list. */
     struct Node
     {
-        Callback cb;
-        std::uint32_t gen = 1;       // bumped on every release
-        std::uint32_t nextFree = kNoIndex;
-        bool inUse = false;
-        bool cancelled = false;
+        union
+        {
+            Callback cb;
+        };
+        std::uint32_t next = kNoIndex;
+
+        Node() {}
+        ~Node() {}
     };
 
     /** POD heap entry; seq is the monotonic FIFO tie-breaker. */
@@ -161,7 +171,7 @@ class EventQueue
     {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t slot;
+        std::uint32_t idx;
     };
 
     /** True if a orders strictly before b. */
@@ -171,14 +181,47 @@ class EventQueue
         return a.when < b.when || (a.when == b.when && a.seq < b.seq);
     }
 
+    /** Wheel slot of tick @p t. */
+    static std::size_t
+    wheelPos(Tick t)
+    {
+        return static_cast<std::size_t>(t) & kWheelMask;
+    }
+
+    Node &
+    node(std::uint32_t idx)
+    {
+        return _chunks[idx >> kChunkShift][idx & (kChunkNodes - 1)];
+    }
+
+    std::uint32_t
+    allocNode()
+    {
+        if (_freeHead == kNoIndex)
+            growPool();
+        const std::uint32_t idx = _freeHead;
+        _freeHead = node(idx).next;
+        return idx;
+    }
+
+    void
+    freeNode(std::uint32_t idx)
+    {
+        node(idx).next = _freeHead;
+        _freeHead = idx;
+    }
+
+    /** Add one chunk of nodes to the free list. */
+    void growPool();
+
+    /** Link the constructed node @p idx in for tick @p when. */
+    void enqueue(Tick when, std::uint32_t idx);
+
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
 
-    std::uint32_t allocNode();
-    void releaseNode(std::uint32_t slot);
-
-    /** Append @p slot to the wheel slot for tick @p when (in-window). */
-    void pushWheel(Tick when, std::uint32_t slot);
+    /** Append @p idx to the wheel slot for tick @p when (in-window). */
+    void pushWheel(Tick when, std::uint32_t idx);
 
     /** Move overflow entries that entered the window onto the wheel. */
     void drainOverflow();
@@ -188,19 +231,15 @@ class EventQueue
     Tick nextOccupiedTick() const;
 
     /**
-     * Advance the cursor (never past @p limit), skimming cancelled
-     * entries, until it rests on the next live entry. Returns false if
-     * none exists at tick <= limit; the cursor is then left at @p
-     * limit (or back at now() for an unbounded search) so later
-     * schedules stay ahead of it.
+     * Advance the cursor (never past @p limit) until its slot holds an
+     * event. Returns false if none exists at tick <= limit; the cursor
+     * is then left at @p limit (or back at now() for an unbounded
+     * search) so later schedules stay ahead of it.
      */
-    bool findNextLive(Tick limit);
+    bool findNext(Tick limit);
 
-    /** Consume the live entry findNextLive() parked the cursor on. */
-    void consumeTop(Callback &cb);
-
-    /** Pop the next live event into @p cb. False if drained. */
-    bool popLive(Tick &when, Callback &cb);
+    /** Unlink the head of the cursor's slot and run it in place. */
+    void dispatchHead();
 
     void
     setOccupied(std::size_t pos)
@@ -214,24 +253,23 @@ class EventQueue
         _occupied[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
     }
 
-    /** Per-tick FIFO slots; entry = pool slot index. A slot holds
-     * entries for exactly one tick of the window [cursor, cursor+W). */
-    std::vector<std::vector<std::uint32_t>> _slots{kWheelSlots};
+    /** Per-tick FIFO slots as head/tail node indices; a slot holds
+     * entries for exactly one tick of the window [cursor, cursor+W).
+     * A tail is meaningful only while its head is set. */
+    std::array<std::uint32_t, kWheelSlots> _head;
+    std::array<std::uint32_t, kWheelSlots> _tail;
     std::array<std::uint64_t, kWheelWords> _occupied{};
     /** Tick the wheel cursor rests on; == now() whenever user code can
      * run (callbacks or between run calls). */
     Tick _cursor = 0;
-    /** Scan position inside the cursor's slot. */
-    std::size_t _slotIdx = 0;
-    /** Entries resident in wheel slots (live + not-yet-skimmed). */
+    /** Events resident in wheel slots. */
     std::size_t _wheelCount = 0;
 
     std::vector<HeapEntry> _heap; // overflow: when - cursor >= kWheelSlots
-    std::vector<Node> _pool;
+    std::vector<std::unique_ptr<Node[]>> _chunks;
     std::uint32_t _freeHead = kNoIndex;
     std::uint64_t _nextSeq = 1;
     std::size_t _numLive = 0;
-    std::size_t _numCancelled = 0;
     Tick _now = 0;
     std::uint64_t _executed = 0;
 };

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -114,8 +115,12 @@ class InlineFunction;
  *
  * Closures that fit kInlineBytes (and are nothrow-move-constructible)
  * live inside the object; larger ones live in a CallbackArena block.
- * Use inlineOnly() at hot call sites to turn an accidental capture
- * growth into a compile error instead of a silent allocation.
+ * An inline closure that is also trivially copyable and trivially
+ * destructible (captures of pointers, references and integers — most
+ * events) has no manager at all: moving it copies the buffer and
+ * destroying it is a no-op. Use inlineOnly() at hot call sites to turn
+ * an accidental capture growth into a compile error instead of a
+ * silent allocation.
  */
 template <typename R, typename... Args>
 class InlineFunction<R(Args...)>
@@ -131,6 +136,13 @@ class InlineFunction<R(Args...)>
         alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
         std::is_nothrow_move_constructible_v<std::decay_t<F>>;
 
+    /** True when @p F is stored inline and relocated by a plain copy of
+     * the buffer, with no manager call on move or destruction. */
+    template <typename F>
+    static constexpr bool isTrivial =
+        fitsInline<F> && std::is_trivially_copyable_v<std::decay_t<F>> &&
+        std::is_trivially_destructible_v<std::decay_t<F>>;
+
     InlineFunction() noexcept = default;
     InlineFunction(std::nullptr_t) noexcept {}
 
@@ -142,10 +154,15 @@ class InlineFunction<R(Args...)>
     {
         using Fn = std::decay_t<F>;
         if constexpr (fitsInline<Fn>) {
+            // A capture-less closure writes no byte of the buffer; zero
+            // it so a relocating copy never reads bytes nothing wrote.
+            if constexpr (std::is_empty_v<Fn>)
+                _store = Storage{};
             ::new (static_cast<void *>(_store.buf))
                 Fn(std::forward<F>(f));
             _invoke = &invokeInline<Fn>;
-            _manage = &manageInline<Fn>;
+            if constexpr (!isTrivial<Fn>)
+                _manage = &manageInline<Fn>;
         } else {
             void *p = detail::CallbackArena::allocate(sizeof(Fn));
             try {
@@ -171,26 +188,14 @@ class InlineFunction<R(Args...)>
         return InlineFunction(std::forward<F>(f));
     }
 
-    InlineFunction(InlineFunction &&other) noexcept
-        : _invoke(other._invoke), _manage(other._manage)
-    {
-        if (_manage)
-            _manage(&_store, &other._store);
-        other._invoke = nullptr;
-        other._manage = nullptr;
-    }
+    InlineFunction(InlineFunction &&other) noexcept { take(other); }
 
     InlineFunction &
     operator=(InlineFunction &&other) noexcept
     {
         if (this != &other) {
             reset();
-            _invoke = other._invoke;
-            _manage = other._manage;
-            if (_manage)
-                _manage(&_store, &other._store);
-            other._invoke = nullptr;
-            other._manage = nullptr;
+            take(other);
         }
         return *this;
     }
@@ -218,11 +223,24 @@ class InlineFunction<R(Args...)>
     void
     reset() noexcept
     {
-        if (_manage) {
+        if (_manage)
             _manage(nullptr, &_store);
-            _invoke = nullptr;
-            _manage = nullptr;
-        }
+        _invoke = nullptr;
+        _manage = nullptr;
+    }
+
+    /** Relocate @p other (empty or not) into this empty object. */
+    void
+    take(InlineFunction &other) noexcept
+    {
+        _invoke = other._invoke;
+        _manage = other._manage;
+        if (_manage)
+            _manage(&_store, &other._store);
+        else // trivial closure (or empty): copy the bytes
+            std::memcpy(&_store, &other._store, sizeof(Storage));
+        other._invoke = nullptr;
+        other._manage = nullptr;
     }
 
     template <typename Fn>

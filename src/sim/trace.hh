@@ -130,7 +130,7 @@ class Recorder
 namespace detail
 {
 /** The current thread's recorder; read inline by every probe. */
-extern thread_local Recorder *tlRecorder;
+extern constinit thread_local Recorder *tlRecorder;
 /** True when PERSIM_TRACE names at least one flag. */
 extern const bool envAny;
 /** Slow path of enabled(): consult the PERSIM_TRACE flag set. */

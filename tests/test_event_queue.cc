@@ -46,25 +46,6 @@ TEST(EventQueue, SameTickIsFifo)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueue, CancelSuppressesExecution)
-{
-    EventQueue eq;
-    bool ran = false;
-    auto id = eq.schedule(10, [&] { ran = true; });
-    eq.cancel(id);
-    eq.run();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoop)
-{
-    EventQueue eq;
-    eq.cancel(0);
-    eq.cancel(12345);
-    EXPECT_TRUE(eq.empty());
-}
-
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;
@@ -121,85 +102,14 @@ TEST(EventQueue, MaxEventsBound)
     EXPECT_EQ(count, 100);
 }
 
-// ---------------------------------------------------------------------
-// Pooled nodes, generation-bit cancellation, overflow guard
-// ---------------------------------------------------------------------
-
-TEST(EventQueue, CancelAfterFireLeavesNoResidue)
-{
-    // Regression: cancelling an already-fired (or repeatedly cancelled)
-    // id used to park the id in a side table forever; the set grew
-    // monotonically over a long run. Now a stale handle is rejected by
-    // its generation check and leaves no bookkeeping behind.
-    EventQueue eq;
-    auto id = eq.schedule(10, [] {});
-    eq.run();
-    for (int i = 0; i < 100; ++i)
-        eq.cancel(id); // fired: every cancel is a pure no-op
-    EXPECT_EQ(eq.pendingCancellations(), 0u);
-    EXPECT_EQ(eq.poolAllocated(), 1u);
-    EXPECT_EQ(eq.poolFree(), 1u);
-
-    auto id2 = eq.schedule(20, [] {});
-    eq.cancel(id2);
-    for (int i = 0; i < 100; ++i)
-        eq.cancel(id2); // duplicate cancels of a cancelled id: no-ops
-    EXPECT_EQ(eq.pendingCancellations(), 1u);
-    eq.run();
-    EXPECT_EQ(eq.pendingCancellations(), 0u);
-    EXPECT_EQ(eq.poolAllocated(), 1u); // the node was recycled, not leaked
-}
-
-TEST(EventQueue, PoolNodesAreRecycled)
-{
-    EventQueue eq;
-    for (int i = 0; i < 1000; ++i) {
-        auto keep = eq.scheduleIn(1, [] {});
-        auto drop = eq.scheduleIn(1, [] {});
-        eq.cancel(drop);
-        eq.run();
-        (void)keep;
-    }
-    // Two events in flight at a time: the pool never needs more nodes.
-    EXPECT_EQ(eq.poolAllocated(), 2u);
-    EXPECT_EQ(eq.pendingCancellations(), 0u);
-}
-
-TEST(EventQueue, StaleHandleCannotCancelARecycledNode)
-{
-    EventQueue eq;
-    auto id1 = eq.schedule(10, [] {});
-    eq.run();
-    bool ran = false;
-    auto id2 = eq.schedule(20, [&] { ran = true; });
-    EXPECT_NE(id1, id2); // same pool slot, new generation
-    eq.cancel(id1);      // stale: must not hit the new occupant
-    eq.run();
-    EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, CancelledCaptureIsReleasedEagerly)
-{
-    // Cancelling drops the callback (and anything it owns) immediately,
-    // without waiting for the node to surface at the heap top.
-    EventQueue eq;
-    auto token = std::make_shared<int>(42);
-    std::weak_ptr<int> watch = token;
-    auto id = eq.schedule(10, [token = std::move(token)] { (void)*token; });
-    EXPECT_FALSE(watch.expired());
-    eq.cancel(id);
-    EXPECT_TRUE(watch.expired());
-    eq.run();
-}
-
 TEST(EventQueue, ScheduleInOverflowPanics)
 {
     EventQueue eq;
     eq.runUntil(100); // now() == 100
     EXPECT_THROW(eq.scheduleIn(kTickNever - 50, [] {}), SimPanic);
     // The boundary case still fits: now + delay == kTickNever.
-    auto id = eq.scheduleIn(kTickNever - 100, [] {});
-    eq.cancel(id);
+    EXPECT_NO_THROW(eq.scheduleIn(kTickNever - 100, [] {}));
+    EXPECT_EQ(eq.pending(), 1u);
 }
 
 TEST(EventQueue, ExecutedCounterCounts)
@@ -209,6 +119,78 @@ TEST(EventQueue, ExecutedCounterCounts)
         eq.schedule(i + 1, [] {});
     eq.run();
     EXPECT_EQ(eq.executed(), 7u);
+}
+
+// ---------------------------------------------------------------------
+// Wheel horizon, in-place dispatch and capture lifetime
+// ---------------------------------------------------------------------
+
+TEST(EventQueue, BeyondHorizonEventKeepsScheduleOrder)
+{
+    // 5000 ticks is past the 4096-tick wheel, so the first event waits
+    // in the overflow heap; the second is scheduled for the same tick
+    // later, from inside the window, and must still run after it.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5000, [&] { order.push_back(1); });
+    eq.schedule(4990, [&] {
+        eq.schedule(5000, [&] { order.push_back(2); });
+    });
+    eq.schedule(5000 + 4096, [&] { order.push_back(3); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eq.now(), 5000u + 4096);
+}
+
+TEST(EventQueue, ScheduleAtNowRunsAfterQueuedSameTickEvents)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(10, [&] {
+        order.push_back(0);
+        eq.schedule(eq.now(), [&] { order.push_back(3); });
+    });
+    eq.schedule(10, [&] { order.push_back(1); });
+    eq.schedule(10, [&] { order.push_back(2); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(eq.now(), 10u);
+}
+
+TEST(EventQueue, ThrowingCallbackReleasesItsCapture)
+{
+    EventQueue eq;
+    auto token = std::make_shared<int>(42);
+    std::weak_ptr<int> watch = token;
+    eq.schedule(10, [token = std::move(token)] {
+        panic("callback fails with ", *token);
+    });
+    int later = 0;
+    eq.schedule(10, [&] { ++later; });
+    eq.schedule(20, [&] { ++later; });
+    EXPECT_THROW(eq.run(), SimPanic);
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(eq.run(), 2u);
+    EXPECT_EQ(later, 2);
+    EXPECT_EQ(eq.now(), 20u);
+}
+
+TEST(EventQueue, DestroyingAQueueReleasesPendingCaptures)
+{
+    auto wheel = std::make_shared<int>(1);
+    auto overflow = std::make_shared<int>(2);
+    std::weak_ptr<int> watchWheel = wheel;
+    std::weak_ptr<int> watchOverflow = overflow;
+    {
+        EventQueue eq;
+        eq.schedule(10, [p = std::move(wheel)] { (void)*p; });
+        eq.schedule(100000, [p = std::move(overflow)] { (void)*p; });
+        EXPECT_FALSE(watchWheel.expired());
+        EXPECT_FALSE(watchOverflow.expired());
+    }
+    EXPECT_TRUE(watchWheel.expired());
+    EXPECT_TRUE(watchOverflow.expired());
 }
 
 } // namespace persim

@@ -316,8 +316,9 @@ TEST(ExpPool, StealingDrainsAnImbalancedLoad)
     pool.run([&](std::size_t job, unsigned) {
         if (job % 2 == 0) {
             // Busy-wait a little to skew the load.
-            volatile int sink = 0;
-            for (int i = 0; i < 100000; ++i)
+            // Unsigned: the sum wraps instead of overflowing (UB).
+            volatile unsigned sink = 0;
+            for (unsigned i = 0; i < 100000; ++i)
                 sink = sink + i;
         }
         ++total;
