@@ -24,8 +24,20 @@ CacheArray::CacheArray(std::string name, const CacheGeometry &geom,
     _sets = geom.sets();
     simAssert(isPowerOfTwo(_sets), _name, ": sets (", _sets,
               ") not a power of two");
-    _lines.resize(static_cast<std::size_t>(_sets) * geom.ways);
-    _tags.resize(_lines.size(), kNoLine);
+    const std::size_t numLines = static_cast<std::size_t>(_sets) * geom.ways;
+    _lines.reset(static_cast<CacheLine *>(
+        ::operator new(numLines * sizeof(CacheLine))));
+    _built.assign((_sets + 63) / 64, 0);
+    _tags.assign(numLines, kNoLine);
+}
+
+void
+CacheArray::buildSet(unsigned set)
+{
+    CacheLine *base = setBase(set);
+    for (unsigned w = 0; w < _geom.ways; ++w)
+        ::new (static_cast<void *>(base + w)) CacheLine();
+    _built[set >> 6] |= std::uint64_t{1} << (set & 63);
 }
 
 void
@@ -47,9 +59,11 @@ lruOlder(std::uint32_t a, std::uint32_t b)
 CacheLine *
 CacheArray::victimFor(Addr addr, bool avoidTagged)
 {
-    const std::size_t first =
-        static_cast<std::size_t>(setIndex(lineAlign(addr))) * _geom.ways;
-    CacheLine *base = &_lines[first];
+    const unsigned set = setIndex(lineAlign(addr));
+    if (!built(set)) [[unlikely]]
+        buildSet(set);
+    const std::size_t first = static_cast<std::size_t>(set) * _geom.ways;
+    CacheLine *base = setBase(set);
     const unsigned ways = _geom.ways;
 
     if (_geom.policy == ReplacementPolicy::Random) {
@@ -152,10 +166,10 @@ CacheArray::fill(CacheLine &line, Addr addr, CoherenceState state)
     simAssert(!line.valid(), _name, ": fill into a valid line");
     addr = lineAlign(addr);
     simAssert(setIndex(addr) ==
-                  static_cast<unsigned>((&line - _lines.data()) /
+                  static_cast<unsigned>((&line - _lines.get()) /
                                         _geom.ways),
               _name, ": fill into the wrong set");
-    _tags[static_cast<std::size_t>(&line - _lines.data())] = addr;
+    _tags[static_cast<std::size_t>(&line - _lines.get())] = addr;
     line.setAddr(addr);
     line.setState(state);
     line.setDirty(false);

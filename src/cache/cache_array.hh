@@ -7,7 +7,10 @@
 #define PERSIM_CACHE_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache_line.hh"
@@ -45,6 +48,14 @@ struct CacheGeometry
  * preferring lines without a persist tag (so demand misses avoid
  * triggering epoch flushes when an untagged victim exists; see DESIGN.md
  * §2.2, replacement conflicts).
+ *
+ * The tag array is built eagerly, but the CacheLine records are raw
+ * memory until their set takes its first fill: victimFor() constructs
+ * a set's ways the first time it picks from that set. A simulated run
+ * touches only the sets it fills, so building a 32-core machine no
+ * longer writes its 16 MB of LLC line records up front. No other
+ * access needs a check: find() matches only tags that fill() wrote,
+ * and forEachValid() skips unbuilt sets.
  */
 class CacheArray
 {
@@ -74,7 +85,7 @@ class CacheArray
         const Addr *tags = &_tags[base];
         for (unsigned w = 0; w < _geom.ways; ++w) {
             if (tags[w] == addr)
-                return &_lines[base + w];
+                return _lines.get() + base + w;
         }
         return nullptr;
     }
@@ -98,7 +109,7 @@ class CacheArray
             static_cast<std::size_t>(setIndex(lineAlign(addr))) *
             _geom.ways;
         __builtin_prefetch(&_tags[base]);
-        __builtin_prefetch(&_lines[base]);
+        __builtin_prefetch(_lines.get() + base);
     }
 
     /** Mark @p line most recently used. */
@@ -112,7 +123,7 @@ class CacheArray
     void
     invalidate(CacheLine &line)
     {
-        _tags[static_cast<std::size_t>(&line - _lines.data())] = kNoLine;
+        _tags[static_cast<std::size_t>(&line - _lines.get())] = kNoLine;
         line.invalidate();
     }
 
@@ -124,7 +135,8 @@ class CacheArray
      * untagged lines with no L1 copies; then among untagged lines; then
      * any line. "Least eligible" is LRU under the Lru policy and a
      * uniformly random candidate under Random. The returned line is NOT
-     * modified; the caller evicts and refills.
+     * modified; the caller evicts and refills. The first call for a set
+     * constructs that set's (invalid) lines.
      *
      * @return nullptr when every way is pinned.
      */
@@ -144,9 +156,14 @@ class CacheArray
     void
     forEachValid(Fn &&fn)
     {
-        for (CacheLine &line : _lines) {
-            if (line.valid())
-                fn(line);
+        for (unsigned set = 0; set < _sets; ++set) {
+            if (!built(set))
+                continue;
+            CacheLine *base = setBase(set);
+            for (unsigned w = 0; w < _geom.ways; ++w) {
+                if (base[w].valid())
+                    fn(base[w]);
+            }
         }
     }
 
@@ -161,13 +178,42 @@ class CacheArray
     /** Tag-array sentinel for an invalid way (never a line-aligned addr). */
     static constexpr Addr kNoLine = ~static_cast<Addr>(0);
 
-    CacheLine *setBase(unsigned set) { return &_lines[set * _geom.ways]; }
+    /** Frees the raw record storage; the records themselves are
+     * trivially destructible, so nothing else runs. */
+    struct RawFree
+    {
+        void operator()(CacheLine *p) const noexcept
+        {
+            ::operator delete(static_cast<void *>(p));
+        }
+    };
+    static_assert(std::is_trivially_destructible_v<CacheLine>,
+                  "CacheArray never destroys its lines");
+
+    CacheLine *
+    setBase(unsigned set)
+    {
+        return _lines.get() + static_cast<std::size_t>(set) * _geom.ways;
+    }
+
+    /** True once @p set's lines are constructed. */
+    bool
+    built(unsigned set) const
+    {
+        return (_built[set >> 6] >> (set & 63)) & 1;
+    }
+
+    /** Construct @p set's lines (all invalid) on its first fill. */
+    void buildSet(unsigned set);
 
     std::string _name;
     CacheGeometry _geom;
     unsigned _setShift;
     unsigned _sets;
-    std::vector<CacheLine> _lines;
+    /** sets x ways records, constructed one set at a time (buildSet). */
+    std::unique_ptr<CacheLine, RawFree> _lines;
+    /** One bit per set: its lines are constructed. */
+    std::vector<std::uint64_t> _built;
     /** Parallel to _lines: the line address of each valid way, kNoLine
      * otherwise. find() scans this instead of the metadata records. */
     std::vector<Addr> _tags;

@@ -84,7 +84,7 @@ L1Cache::accessStage2(Addr addr, bool isWrite,
         line->setPinned(true);
     _mshrs.allocate(addr, isWrite, std::move(acc));
     probeMshrEpisode();
-    sendMiss(addr, isWrite, PendingAccess{isWrite, _core, {}});
+    sendMiss(addr, isWrite);
 }
 
 void
@@ -104,14 +104,13 @@ L1Cache::prefetchExclusive(Addr addr)
             line->setPinned(true); // transient upgrade; see accessStage2
         _mshrs.allocate(addr, true, PendingAccess{false, _core, {}});
         probeMshrEpisode();
-        sendMiss(addr, true, PendingAccess{true, _core, {}});
+        sendMiss(addr, true);
     });
 }
 
 void
-L1Cache::sendMiss(Addr addr, bool isWrite, PendingAccess acc)
+L1Cache::sendMiss(Addr addr, bool isWrite)
 {
-    (void)acc;
     LlcBank &bank = _pc.bank(homeBankOf(addr, _pc.numBanks()));
     LlcBank *bankPtr = &bank;
     CoreId core = _core;
@@ -265,7 +264,7 @@ resend:
         _mshrs.merge(addr, std::move(queue[i]));
     _mshrs.recycle(std::move(queue));
     probeMshrEpisode();
-    sendMiss(addr, anyWrite, PendingAccess{anyWrite, _core, {}});
+    sendMiss(addr, anyWrite);
 }
 
 void

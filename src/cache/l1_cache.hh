@@ -187,7 +187,8 @@ class L1Cache : public SimObject
                       InlineCallback onComplete);
     /** Try to perform a store on a resident exclusive line. */
     void performStore(Addr addr, InlineCallback onComplete);
-    void sendMiss(Addr addr, bool isWrite, PendingAccess acc);
+    /** Send the miss request for @p addr to its home bank. */
+    void sendMiss(Addr addr, bool isWrite);
     void replayNext(Addr addr, std::vector<PendingAccess> queue,
                     std::size_t idx);
     /**

@@ -86,6 +86,14 @@ JsonValue::operator[](const std::string &key)
     return _members.back().second;
 }
 
+JsonValue &
+JsonValue::append(std::string key, JsonValue v)
+{
+    simAssert(_kind == Kind::Object, "JsonValue::append on non-object");
+    _members.emplace_back(std::move(key), std::move(v));
+    return _members.back().second;
+}
+
 const JsonValue *
 JsonValue::get(const std::string &key) const
 {

@@ -75,6 +75,13 @@ class JsonValue
 
     /** Object: insert-or-get a member (value must be an object). */
     JsonValue &operator[](const std::string &key);
+    /**
+     * Object: append a member without the duplicate-key scan of
+     * operator[]. @p key must not be present yet; exporters whose keys
+     * are unique by construction use this to stay linear in the
+     * member count.
+     */
+    JsonValue &append(std::string key, JsonValue v);
     /** Object: lookup; nullptr when missing or not an object. */
     const JsonValue *get(const std::string &key) const;
     const std::vector<std::pair<std::string, JsonValue>> &members() const

@@ -11,15 +11,15 @@ JsonValue
 distributionToJson(const Distribution &d)
 {
     JsonValue out = JsonValue::object();
-    out["count"] = JsonValue(d.count());
-    out["mean"] = JsonValue(d.mean());
-    out["stdev"] = JsonValue(d.stdev());
-    out["min"] = JsonValue(d.min());
-    out["max"] = JsonValue(d.max());
-    out["sum"] = JsonValue(d.sum());
-    out["p50"] = JsonValue(d.p50());
-    out["p95"] = JsonValue(d.p95());
-    out["p99"] = JsonValue(d.p99());
+    out.append("count", JsonValue(d.count()));
+    out.append("mean", JsonValue(d.mean()));
+    out.append("stdev", JsonValue(d.stdev()));
+    out.append("min", JsonValue(d.min()));
+    out.append("max", JsonValue(d.max()));
+    out.append("sum", JsonValue(d.sum()));
+    out.append("p50", JsonValue(d.p50()));
+    out.append("p95", JsonValue(d.p95()));
+    out.append("p99", JsonValue(d.p99()));
     return out;
 }
 
@@ -27,18 +27,21 @@ JsonValue
 statGroupsToJson(const std::vector<const StatGroup *> &groups)
 {
     prof::ScopedPhase profPhase(prof::Phase::StatExport);
+    // Group names, and stat names within a group, are unique (System
+    // names every component once; tests check it), so members append
+    // without operator[]'s duplicate scan — the mesh group alone
+    // carries ~500 scalars.
     JsonValue out = JsonValue::object();
     for (const StatGroup *g : groups) {
-        JsonValue &entry = out[g->name()];
-        entry = JsonValue::object();
         JsonValue scalars = JsonValue::object();
         for (const Scalar *s : g->scalars())
-            scalars[s->name()] = JsonValue(s->value());
+            scalars.append(s->name(), JsonValue(s->value()));
         JsonValue dists = JsonValue::object();
         for (const Distribution *d : g->distributions())
-            dists[d->name()] = distributionToJson(*d);
-        entry["scalars"] = std::move(scalars);
-        entry["distributions"] = std::move(dists);
+            dists.append(d->name(), distributionToJson(*d));
+        JsonValue &entry = out.append(g->name(), JsonValue::object());
+        entry.append("scalars", std::move(scalars));
+        entry.append("distributions", std::move(dists));
     }
     return out;
 }
@@ -48,7 +51,7 @@ flatStatsToJson(const std::map<std::string, double> &stats)
 {
     JsonValue out = JsonValue::object();
     for (const auto &[k, v] : stats)
-        out[k] = JsonValue(v);
+        out.append(k, JsonValue(v));
     return out;
 }
 

@@ -2,11 +2,16 @@
 
 #include <cstdlib>
 
-#include "prof/phase.hh"
 #include "sim/logging.hh"
 
 namespace persim::noc
 {
+
+namespace
+{
+const char *const dirNames[kNumDirections] = {"east", "west", "north",
+                                              "south", "eject"};
+} // namespace
 
 Mesh::Mesh(const std::string &name, EventQueue &eq, const MeshConfig &cfg)
     : SimObject(name, eq),
@@ -18,13 +23,24 @@ Mesh::Mesh(const std::string &name, EventQueue &eq, const MeshConfig &cfg)
 {
     simAssert(cfg.rows > 0 && cfg.cols > 0, "empty mesh");
     simAssert(cfg.flitBytes > 0, "zero flit width");
-    _routers.reserve(cfg.rows * cfg.cols);
-    for (unsigned y = 0; y < cfg.rows; ++y) {
-        for (unsigned x = 0; x < cfg.cols; ++x) {
-            _routers.push_back(std::make_unique<Router>(
-                name + ".router[" + std::to_string(y * cfg.cols + x) +
-                    "]",
-                &_stats, x, y));
+    simAssert(numLinks() <= 0x10000u, "mesh too large for 16-bit link ",
+              "indices: ", cfg.rows, "x", cfg.cols);
+    _links = std::make_unique<LinkState[]>(numLinks());
+    for (unsigned r = 0; r < cfg.rows * cfg.cols; ++r) {
+        const std::string router =
+            name + ".router[" + std::to_string(r) + "].";
+        for (unsigned d = 0; d < kNumDirections; ++d) {
+            LinkState &link = _links[r * kNumDirections + d];
+            const std::string prefix = router + dirNames[d];
+            _linkStats.emplace_back(&_stats, prefix + ".packets",
+                                    "packets crossing this link",
+                                    &link.packets);
+            _linkStats.emplace_back(&_stats, prefix + ".busyCycles",
+                                    "flit-cycles of link occupancy",
+                                    &link.busyCycles);
+            _linkStats.emplace_back(&_stats, prefix + ".waitCycles",
+                                    "cycles packets waited on this link",
+                                    &link.waitCycles);
         }
     }
 }
@@ -42,35 +58,38 @@ Mesh::attach(unsigned nodeId, unsigned x, unsigned y)
     // Cached routes index by the node-table size; drop them whenever
     // the topology changes.
     _routes.clear();
+    _routeLinks.clear();
 }
 
-Mesh::Route &
+const Mesh::Route &
 Mesh::routeFor(unsigned src, unsigned dst)
 {
     const std::size_t n = _nodes.size();
     if (_routes.size() != n * n)
         _routes.assign(n * n, Route{});
     Route &route = _routes[src * n + dst];
-    if (route.eject)
+    if (route.len != 0)
         return route;
 
-    // X then Y dimension-order walk, recording links in the exact
-    // order send() historically reserved them.
+    // X then Y dimension-order walk, in reservation order.
     const NodeLoc &s = _nodes[src];
     const NodeLoc &d = _nodes[dst];
+    route.first = static_cast<std::uint32_t>(_routeLinks.size());
     unsigned x = s.x;
     unsigned y = s.y;
     while (x != d.x) {
         Direction dir = (d.x > x) ? Direction::East : Direction::West;
-        route.hops.push_back(&routerAt(x, y).out(dir));
+        _routeLinks.push_back(linkIndex(x, y, dir));
         x = (d.x > x) ? x + 1 : x - 1;
     }
     while (y != d.y) {
         Direction dir = (d.y > y) ? Direction::South : Direction::North;
-        route.hops.push_back(&routerAt(x, y).out(dir));
+        _routeLinks.push_back(linkIndex(x, y, dir));
         y = (d.y > y) ? y + 1 : y - 1;
     }
-    route.eject = &routerAt(x, y).out(Direction::Eject);
+    _routeLinks.push_back(linkIndex(x, y, Direction::Eject));
+    route.len = static_cast<std::uint32_t>(_routeLinks.size()) -
+                route.first;
     return route;
 }
 
@@ -78,10 +97,8 @@ std::uint64_t
 Mesh::totalLinkBusyCycles() const
 {
     std::uint64_t total = 0;
-    for (const auto &router : _routers) {
-        for (unsigned d = 0; d < kNumDirections; ++d)
-            total += router->out(static_cast<Direction>(d)).busyCycles();
-    }
+    for (unsigned i = 0; i < numLinks(); ++i)
+        total += _links[i].busyCycles;
     return total;
 }
 
@@ -109,10 +126,8 @@ Mesh::idleLatency(unsigned src, unsigned dst, unsigned bytes) const
 }
 
 Tick
-Mesh::send(unsigned src, unsigned dst, unsigned bytes,
-           EventQueue::Callback onDeliver)
+Mesh::reservePath(unsigned src, unsigned dst, unsigned bytes)
 {
-    prof::ScopedPhase profPhase(prof::Phase::Noc);
     simAssert(src < _nodes.size() && _nodes[src].attached,
               "send from unattached node ", src);
     simAssert(dst < _nodes.size() && _nodes[dst].attached,
@@ -125,19 +140,20 @@ Mesh::send(unsigned src, unsigned dst, unsigned bytes,
     _flits.inc(flits);
 
     const Route &route = routeFor(src, dst);
+    const std::uint16_t *path = &_routeLinks[route.first];
+    const std::uint16_t *eject = path + route.len - 1;
     const Tick hopLatency = _cfg.linkLatency + _cfg.routerLatency;
 
     // Head-flit cursor: time the head is ready at the next router.
     Tick cursor = curTick() + _cfg.routerLatency; // injection pipeline
-    for (Link *link : route.hops)
-        cursor = link->reserve(cursor, flits) + hopLatency;
+    for (; path != eject; ++path)
+        cursor = _links[*path].reserve(cursor, flits) + hopLatency;
 
     // Ejection: local port serializes the whole packet.
-    Tick start = route.eject->reserve(cursor, flits);
-    Tick arrival = start + _cfg.linkLatency + (flits - 1);
+    const Tick start = _links[*eject].reserve(cursor, flits);
+    const Tick arrival = start + _cfg.linkLatency + (flits - 1);
 
     _latency.sample(arrival - curTick());
-    eventQueue().schedule(arrival, std::move(onDeliver));
     return arrival;
 }
 

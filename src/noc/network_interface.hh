@@ -7,6 +7,7 @@
 #define PERSIM_NOC_NETWORK_INTERFACE_HH
 
 #include <string>
+#include <utility>
 
 #include "noc/mesh.hh"
 #include "sim/types.hh"
@@ -43,17 +44,19 @@ class NetworkInterface
     const std::string &name() const { return _name; }
 
     /** Send a one-flit control message; @p cb runs at the destination. */
+    template <typename F>
     Tick
-    sendControl(unsigned dst, EventQueue::Callback cb)
+    sendControl(unsigned dst, F &&cb)
     {
-        return _mesh.send(_nodeId, dst, kControlBytes, std::move(cb));
+        return _mesh.send(_nodeId, dst, kControlBytes, std::forward<F>(cb));
     }
 
     /** Send a line-carrying data message; @p cb runs at the destination. */
+    template <typename F>
     Tick
-    sendData(unsigned dst, EventQueue::Callback cb)
+    sendData(unsigned dst, F &&cb)
     {
-        return _mesh.send(_nodeId, dst, kDataBytes, std::move(cb));
+        return _mesh.send(_nodeId, dst, kDataBytes, std::forward<F>(cb));
     }
 
     Mesh &mesh() { return _mesh; }

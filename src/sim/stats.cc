@@ -17,6 +17,14 @@ Scalar::Scalar(StatGroup *parent, std::string name, std::string desc)
     }
 }
 
+Scalar::Scalar(StatGroup *parent, std::string name, std::string desc,
+               std::uint64_t *slot)
+    : _name(std::move(name)), _desc(std::move(desc)), _value(slot)
+{
+    if (parent)
+        parent->add(this);
+}
+
 Distribution::Distribution(StatGroup *parent, std::string name,
                            std::string desc)
     : _name(std::move(name)), _desc(std::move(desc))

@@ -10,8 +10,10 @@
  * does not count in place — its 8-byte counter lives in the group's
  * value arena, so the counters of one component pack densely into a
  * few host cache lines instead of being strewn across the component's
- * (string-heavy) Scalar members. Free-standing Scalars (parent ==
- * nullptr, used by tests) fall back to an inline counter.
+ * (string-heavy) Scalar members. A component may instead bind a Scalar
+ * to a counter it owns, next to the state it updates with it (the
+ * mesh's link table). Free-standing Scalars (parent == nullptr, used by
+ * tests) fall back to an inline counter.
  */
 
 #ifndef PERSIM_SIM_STATS_HH
@@ -44,6 +46,15 @@ class Scalar
      */
     Scalar(StatGroup *parent, std::string name, std::string desc);
 
+    /**
+     * A Scalar that counts in @p slot, a counter the owning component
+     * keeps next to the state it updates with it (the mesh's link
+     * table). @p slot must outlive the Scalar; @p parent registers the
+     * stat as usual but allocates no arena counter for it.
+     */
+    Scalar(StatGroup *parent, std::string name, std::string desc,
+           std::uint64_t *slot);
+
     Scalar(const Scalar &) = delete;
     Scalar &operator=(const Scalar &) = delete;
 
@@ -70,7 +81,8 @@ class Scalar
     std::string _desc;
     /** Inline fallback for free-standing (parentless) counters. */
     std::uint64_t _own = 0;
-    /** The live counter: a group-arena slot, or &_own. */
+    /** The live counter: a group-arena slot, a component-owned slot,
+     * or &_own. */
     std::uint64_t *_value = &_own;
 };
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/cache_array.hh"
 #include "cache/mshr.hh"
 #include "cpu/write_buffer.hh"
@@ -160,6 +163,79 @@ TEST(CacheArray, SetShiftStripsBankBits)
     EXPECT_EQ(arr.setIndex(a), 0u);
     EXPECT_EQ(arr.setIndex(a + 128), 1u);
     (void)sameSet;
+}
+
+TEST(CacheArray, NeverFilledSetFindsNothing)
+{
+    // 16 sets x 4 ways; nothing has been filled, so no set's lines
+    // exist yet and every probe misses.
+    CacheArray arr("a", CacheGeometry{4 * 1024, 4});
+    for (unsigned set = 0; set < arr.sets(); ++set)
+        EXPECT_EQ(arr.find(static_cast<Addr>(set) * 64), nullptr);
+    // Filling one set leaves its neighbours unbuilt and still missing.
+    arr.fill(*arr.victimFor(0x0, false), 0x0, CoherenceState::Shared);
+    EXPECT_NE(arr.find(0x0), nullptr);
+    EXPECT_EQ(arr.find(0x40), nullptr);
+    EXPECT_EQ(arr.find(0x0 + 16 * 64), nullptr); // same set, other tag
+}
+
+TEST(CacheArray, FirstVictimIsWayZeroOfFreshLines)
+{
+    CacheArray arr("a", CacheGeometry{4 * 1024, 4});
+    const Addr a = 3 * 64; // set 3
+    CacheLine *v = arr.victimFor(a, true);
+    ASSERT_NE(v, nullptr);
+    // A freshly built line: invalid, unpinned, untagged, no L1 copies.
+    EXPECT_FALSE(v->valid());
+    EXPECT_FALSE(v->pinned());
+    EXPECT_FALSE(v->dirty());
+    EXPECT_FALSE(v->tagged());
+    EXPECT_EQ(v->owner(), kNoCore);
+    EXPECT_EQ(v->sharers(), 0u);
+    EXPECT_EQ(v->lruStamp(), 0u);
+    // Way 0: the next way of the same set is the next victim.
+    CacheLine &line = arr.fill(*v, a, CoherenceState::Shared);
+    CacheLine *next = arr.victimFor(a + 16 * 64, true);
+    ASSERT_NE(next, nullptr);
+    EXPECT_EQ(next, &line + 1);
+    EXPECT_FALSE(next->valid());
+    // The Random policy builds the same fresh set and also starts at
+    // way 0 (the first invalid way).
+    CacheGeometry geom{4 * 1024, 4};
+    geom.policy = cache::ReplacementPolicy::Random;
+    CacheArray rnd("r", geom);
+    CacheLine *rv = rnd.victimFor(a, false);
+    ASSERT_NE(rv, nullptr);
+    EXPECT_FALSE(rv->valid());
+    CacheLine &rline = rnd.fill(*rv, a, CoherenceState::Shared);
+    EXPECT_EQ(rnd.victimFor(a + 16 * 64, false), &rline + 1);
+}
+
+TEST(CacheArray, ForEachValidVisitsOnlyFilledLines)
+{
+    CacheArray arr("a", CacheGeometry{4 * 1024, 4});
+    unsigned visits = 0;
+    arr.forEachValid([&](CacheLine &) { ++visits; });
+    EXPECT_EQ(visits, 0u);
+
+    // Two sets built, three lines filled; a victim pick alone (set 5)
+    // builds a set but fills nothing.
+    const std::vector<Addr> filled = {0x0, 0x0 + 16 * 64, 2 * 64};
+    for (Addr a : filled)
+        arr.fill(*arr.victimFor(a, false), a, CoherenceState::Shared);
+    ASSERT_NE(arr.victimFor(5 * 64, false), nullptr);
+    std::vector<Addr> seen;
+    arr.forEachValid([&](CacheLine &line) { seen.push_back(line.addr()); });
+    std::sort(seen.begin(), seen.end());
+    std::vector<Addr> want = filled;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(seen, want);
+
+    // An invalidated line drops out.
+    arr.invalidate(*arr.find(2 * 64));
+    visits = 0;
+    arr.forEachValid([&](CacheLine &) { ++visits; });
+    EXPECT_EQ(visits, 2u);
 }
 
 TEST(Mshr, AllocateMergeRelease)

@@ -74,6 +74,12 @@ TEST(ExpJson, ObjectPreservesInsertionOrder)
     doc["alpha"] = JsonValue(2.0);
     const std::string text = doc.dump(0);
     EXPECT_LT(text.find("zebra"), text.find("alpha"));
+    // append() builds the same document without the key lookup.
+    JsonValue appended = JsonValue::object();
+    appended.append("zebra", JsonValue(1.0));
+    EXPECT_DOUBLE_EQ(appended.append("alpha", JsonValue(2.0)).asNumber(),
+                     2.0);
+    EXPECT_EQ(appended.dump(0), text);
 }
 
 TEST(ExpJson, ParseRejectsGarbage)

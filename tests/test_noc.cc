@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "noc/mesh.hh"
 #include "noc/network_interface.hh"
 #include "sim/event_queue.hh"
@@ -94,6 +98,51 @@ TEST(Mesh, ContentionSerializesOnSharedLink)
     ASSERT_EQ(arrivals.size(), 10u);
     for (std::size_t i = 1; i < arrivals.size(); ++i)
         EXPECT_GE(arrivals[i], arrivals[i - 1] + 5);
+
+    // Per-link accounting. The path is router[0..2].east then
+    // router[3].eject. Packet i waits 5*i cycles on the first link and
+    // then streams through the rest without waiting.
+    std::map<std::string, double> m;
+    mesh.stats().toMap(m);
+    auto link = [&](unsigned r, const char *dir, const char *stat) {
+        const std::string key = "mesh.mesh.router[" + std::to_string(r) +
+                                "]." + dir + "." + stat;
+        EXPECT_EQ(m.count(key), 1u) << key;
+        return m[key];
+    };
+    for (unsigned r = 0; r < 3; ++r) {
+        EXPECT_DOUBLE_EQ(link(r, "east", "packets"), 10.0);
+        EXPECT_DOUBLE_EQ(link(r, "east", "busyCycles"), 50.0);
+    }
+    EXPECT_DOUBLE_EQ(link(0, "east", "waitCycles"), 5.0 * 45);
+    EXPECT_DOUBLE_EQ(link(1, "east", "waitCycles"), 0.0);
+    EXPECT_DOUBLE_EQ(link(2, "east", "waitCycles"), 0.0);
+    EXPECT_DOUBLE_EQ(link(3, "eject", "packets"), 10.0);
+    EXPECT_DOUBLE_EQ(link(3, "eject", "busyCycles"), 50.0);
+    EXPECT_DOUBLE_EQ(link(3, "eject", "waitCycles"), 0.0);
+    // Off-path links stay idle.
+    EXPECT_DOUBLE_EQ(link(0, "west", "packets"), 0.0);
+    EXPECT_DOUBLE_EQ(link(3, "east", "packets"), 0.0);
+    EXPECT_DOUBLE_EQ(link(0, "eject", "busyCycles"), 0.0);
+    EXPECT_EQ(mesh.totalLinkBusyCycles(), 200u);
+}
+
+TEST(Mesh, LinkStatsKeepTheirNamesAndOrder)
+{
+    EventQueue eq;
+    Mesh mesh("mesh", eq, smallMesh());
+    const auto &scalars = mesh.stats().scalars();
+    // packets, flits, then (router, direction, counter) in table order.
+    ASSERT_EQ(scalars.size(), 2u + mesh.numLinks() * 3);
+    EXPECT_EQ(scalars[0]->name(), "packets");
+    EXPECT_EQ(scalars[1]->name(), "flits");
+    EXPECT_EQ(scalars[2]->name(), "mesh.router[0].east.packets");
+    EXPECT_EQ(scalars[3]->name(), "mesh.router[0].east.busyCycles");
+    EXPECT_EQ(scalars[4]->name(), "mesh.router[0].east.waitCycles");
+    EXPECT_EQ(scalars[5]->name(), "mesh.router[0].west.packets");
+    EXPECT_EQ(scalars[14]->name(), "mesh.router[0].eject.packets");
+    EXPECT_EQ(scalars[17]->name(), "mesh.router[1].east.packets");
+    EXPECT_EQ(scalars.back()->name(), "mesh.router[7].eject.waitCycles");
 }
 
 TEST(Mesh, DisjointPathsDoNotInterfere)
@@ -136,6 +185,52 @@ TEST(Mesh, UnattachedNodesPanic)
     EXPECT_THROW(mesh.hops(5, 0), SimPanic);
     EXPECT_THROW(mesh.attach(0, 1, 1), SimPanic); // double attach
     EXPECT_THROW(mesh.attach(7, 9, 9), SimPanic); // off-mesh
+}
+
+namespace
+{
+
+/** Capture that counts how often the closure holding it is moved. */
+struct MoveCounter
+{
+    int *moves;
+    int *copies;
+
+    MoveCounter(int *m, int *c) : moves(m), copies(c) {}
+    MoveCounter(MoveCounter &&o) noexcept : moves(o.moves), copies(o.copies)
+    {
+        ++*moves;
+    }
+    MoveCounter(const MoveCounter &o) : moves(o.moves), copies(o.copies)
+    {
+        ++*copies;
+    }
+};
+
+} // namespace
+
+TEST(NetworkInterface, DeliveryClosureIsMovedAtMostOnce)
+{
+    EventQueue eq;
+    Mesh mesh("mesh", eq, smallMesh());
+    NetworkInterface a("a", mesh, 0, 0, 0);
+    NetworkInterface b("b", mesh, 1, 3, 1);
+    int moves = 0;
+    int copies = 0;
+    Tick delivered = 0;
+    const Tick arrival = a.sendControl(
+        1, [counter = MoveCounter(&moves, &copies), &delivered, &eq] {
+            (void)counter;
+            delivered = eq.now();
+        });
+    // Built once, directly in its event node.
+    EXPECT_LE(moves, 1);
+    EXPECT_EQ(copies, 0);
+    eq.run();
+    EXPECT_LE(moves, 1);
+    EXPECT_EQ(copies, 0);
+    EXPECT_EQ(delivered, mesh.idleLatency(0, 1, kControlBytes));
+    EXPECT_EQ(arrival, delivered);
 }
 
 TEST(NetworkInterface, SendsStandardSizes)

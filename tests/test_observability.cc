@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -341,6 +342,30 @@ TEST(ObsNaming, StatKeysUseComponentIndexScheme)
     }
     EXPECT_TRUE(sawArbiter);
     EXPECT_TRUE(sawRouter);
+}
+
+TEST(ObsStatNames, EveryGroupOfA32CoreSystemHasUniqueNames)
+{
+    // statGroupsToJson appends members without a duplicate-key scan;
+    // that is sound only while group names, and scalar and
+    // distribution names within a group, are unique.
+    model::System sys(model::SystemConfig::paperTable1());
+    ASSERT_EQ(sys.config().numCores, 32u);
+    std::set<std::string> groups;
+    for (const StatGroup *g : sys.statGroups()) {
+        EXPECT_TRUE(groups.insert(g->name()).second) << g->name();
+        std::set<std::string> scalars;
+        for (const Scalar *s : g->scalars())
+            EXPECT_TRUE(scalars.insert(s->name()).second)
+                << g->name() << "." << s->name();
+        std::set<std::string> dists;
+        for (const Distribution *d : g->distributions())
+            EXPECT_TRUE(dists.insert(d->name()).second)
+                << g->name() << "." << d->name();
+    }
+    // The mesh group: packets, flits and 3 counters per link.
+    EXPECT_EQ(sys.mesh().stats().scalars().size(),
+              2u + 3u * sys.mesh().numLinks());
 }
 
 // ---------------------------------------------------------------------
