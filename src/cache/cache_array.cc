@@ -1,5 +1,11 @@
 #include "cache/cache_array.hh"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <bit>
+#include <new>
+
 #include "sim/logging.hh"
 
 namespace persim::cache
@@ -14,6 +20,109 @@ isPowerOfTwo(std::uint64_t v)
 }
 } // namespace
 
+/**
+ * One host thread's storage blocks, by byte size. A block is mapped
+ * only when no free one of its size is left, so a pool holds at most
+ * as many blocks of a size as its thread had live at once. Free
+ * blocks stay mapped (and their pages resident) until the thread
+ * exits: unmapping per machine would fault every page back in on the
+ * next one.
+ */
+class CacheArray::Pool
+{
+  public:
+    Pool() { tlPool = this; }
+
+    ~Pool()
+    {
+        tlPool = nullptr;
+        for (Shelf &s : _shelves)
+            for (void *p : s.free)
+                ::munmap(p, s.bytes);
+    }
+
+    Pool(const Pool &) = delete;
+    Pool &operator=(const Pool &) = delete;
+
+    /** This thread's pool. */
+    static Pool &
+    local()
+    {
+        thread_local Pool pool;
+        return pool;
+    }
+
+    void *
+    acquire(std::size_t bytes)
+    {
+        Shelf &s = shelf(bytes);
+        if (!s.free.empty()) {
+            void *p = s.free.back();
+            s.free.pop_back();
+            return p;
+        }
+        // Room to park every block of this size, so release() never
+        // allocates.
+        s.free.reserve(s.mapped + 1);
+        void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        ++s.mapped;
+        ++_mapped;
+        return p;
+    }
+
+    /**
+     * Hand back @p p, a block that @p owner handed out. A block freed
+     * on another thread, or after its pool's thread-exit teardown, is
+     * unmapped instead.
+     */
+    static void
+    release(Pool *owner, void *p, std::size_t bytes) noexcept
+    {
+        if (owner == tlPool)
+            owner->shelf(bytes).free.push_back(p);
+        else
+            ::munmap(p, bytes);
+    }
+
+    std::size_t mapped() const { return _mapped; }
+
+  private:
+    struct Shelf
+    {
+        std::size_t bytes;
+        std::size_t mapped;
+        std::vector<void *> free;
+    };
+
+    Shelf &
+    shelf(std::size_t bytes)
+    {
+        for (Shelf &s : _shelves) {
+            if (s.bytes == bytes)
+                return s;
+        }
+        return _shelves.emplace_back(Shelf{bytes, 0, {}});
+    }
+
+    /** Set while this thread's pool is alive. */
+    static constinit thread_local Pool *tlPool;
+
+    /** A machine has two or three array sizes; a linear scan wins. */
+    std::vector<Shelf> _shelves;
+    std::size_t _mapped = 0;
+};
+
+constinit thread_local CacheArray::Pool *CacheArray::Pool::tlPool = nullptr;
+
+std::size_t
+CacheArray::regionsMapped()
+{
+    return Pool::local().mapped();
+}
+
 CacheArray::CacheArray(std::string name, const CacheGeometry &geom,
                        unsigned setShift)
     : _name(std::move(name)), _geom(geom), _setShift(setShift)
@@ -25,10 +134,27 @@ CacheArray::CacheArray(std::string name, const CacheGeometry &geom,
     simAssert(isPowerOfTwo(_sets), _name, ": sets (", _sets,
               ") not a power of two");
     const std::size_t numLines = static_cast<std::size_t>(_sets) * geom.ways;
-    _lines.reset(static_cast<CacheLine *>(
-        ::operator new(numLines * sizeof(CacheLine))));
     _built.assign((_sets + 63) / 64, 0);
-    _tags.assign(numLines, kNoLine);
+    static_assert(alignof(CacheLine) <= alignof(Addr));
+    _blockBytes = numLines * (sizeof(Addr) + sizeof(CacheLine));
+    _pool = &Pool::local();
+    void *block = _pool->acquire(_blockBytes);
+    _tags = static_cast<Addr *>(block);
+    _lines = reinterpret_cast<CacheLine *>(_tags + numLines);
+}
+
+CacheArray::~CacheArray()
+{
+    // Only a built set can hold a nonzero tag; zeroing those leaves
+    // the block as clean as a fresh mapping for its next owner.
+    for (std::size_t word = 0; word < _built.size(); ++word) {
+        for (std::uint64_t bits = _built[word]; bits; bits &= bits - 1) {
+            const std::size_t set =
+                word * 64 + static_cast<unsigned>(std::countr_zero(bits));
+            std::fill_n(_tags + set * _geom.ways, _geom.ways, Addr{0});
+        }
+    }
+    Pool::release(_pool, _tags, _blockBytes);
 }
 
 void
@@ -110,9 +236,9 @@ CacheArray::victimFor(Addr addr, bool avoidTagged)
     // cached line reads before the metadata sweep. An invalid way can
     // still be pinned (a miss claims its fill way before the memory
     // read returns), so the flag byte is checked before returning one.
-    const Addr *tags = &_tags[first];
+    const Addr *tags = _tags + first;
     for (unsigned w = 0; w < ways; ++w) {
-        if (tags[w] == kNoLine && !base[w].pinned())
+        if (tags[w] == 0 && !base[w].pinned())
             return &base[w];
     }
 
@@ -166,10 +292,9 @@ CacheArray::fill(CacheLine &line, Addr addr, CoherenceState state)
     simAssert(!line.valid(), _name, ": fill into a valid line");
     addr = lineAlign(addr);
     simAssert(setIndex(addr) ==
-                  static_cast<unsigned>((&line - _lines.get()) /
-                                        _geom.ways),
+                  static_cast<unsigned>((&line - _lines) / _geom.ways),
               _name, ": fill into the wrong set");
-    _tags[static_cast<std::size_t>(&line - _lines.get())] = addr;
+    _tags[&line - _lines] = ~addr;
     line.setAddr(addr);
     line.setState(state);
     line.setDirty(false);

@@ -7,8 +7,6 @@
 #define PERSIM_CACHE_CACHE_ARRAY_HH
 
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -49,11 +47,17 @@ struct CacheGeometry
  * triggering epoch flushes when an untagged victim exists; see DESIGN.md
  * §2.2, replacement conflicts).
  *
- * The tag array is built eagerly, but the CacheLine records are raw
- * memory until their set takes its first fill: victimFor() constructs
- * a set's ways the first time it picks from that set. A simulated run
- * touches only the sets it fills, so building a 32-core machine no
- * longer writes its 16 MB of LLC line records up front. No other
+ * Storage is one block, tags then line records, taken from a pool
+ * of anonymous mappings that each host thread keeps per block size.
+ * A fresh mapping is zero pages, and a tag holds the complement of
+ * its line address, so a zero tag is an invalid way and the block
+ * needs no fill before use. The CacheLine records are raw memory until
+ * their set takes its first fill: victimFor() constructs a set's ways
+ * the first time it picks from that set. On destruction the array
+ * zeroes the tags of the sets it built and hands the block back, so
+ * the next machine built on this thread reuses warm, already-faulted
+ * pages. A pool never holds more blocks of one size than its thread
+ * had live at once; it unmaps them when the thread exits. No other
  * access needs a check: find() matches only tags that fill() wrote,
  * and forEachValid() skips unbuilt sets.
  */
@@ -70,6 +74,14 @@ class CacheArray
      */
     CacheArray(std::string name, const CacheGeometry &geom,
                unsigned setShift = 0);
+    ~CacheArray();
+
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
+
+    /** Mappings this thread's pool made and has not unmapped, live
+     * or free (probe). */
+    static std::size_t regionsMapped();
 
     /** Find the line holding @p addr, or nullptr. Does not touch LRU.
      *
@@ -82,10 +94,10 @@ class CacheArray
         addr = lineAlign(addr);
         const std::size_t base =
             static_cast<std::size_t>(setIndex(addr)) * _geom.ways;
-        const Addr *tags = &_tags[base];
+        const Addr *tags = _tags + base;
         for (unsigned w = 0; w < _geom.ways; ++w) {
-            if (tags[w] == addr)
-                return _lines.get() + base + w;
+            if (tags[w] == ~addr)
+                return _lines + base + w;
         }
         return nullptr;
     }
@@ -108,8 +120,8 @@ class CacheArray
         const std::size_t base =
             static_cast<std::size_t>(setIndex(lineAlign(addr))) *
             _geom.ways;
-        __builtin_prefetch(&_tags[base]);
-        __builtin_prefetch(_lines.get() + base);
+        __builtin_prefetch(_tags + base);
+        __builtin_prefetch(_lines + base);
     }
 
     /** Mark @p line most recently used. */
@@ -123,7 +135,7 @@ class CacheArray
     void
     invalidate(CacheLine &line)
     {
-        _tags[static_cast<std::size_t>(&line - _lines.get())] = kNoLine;
+        _tags[&line - _lines] = 0;
         line.invalidate();
     }
 
@@ -175,25 +187,16 @@ class CacheArray
     }
 
   private:
-    /** Tag-array sentinel for an invalid way (never a line-aligned addr). */
-    static constexpr Addr kNoLine = ~static_cast<Addr>(0);
+    /** Per-thread store of storage blocks (cache_array.cc). */
+    class Pool;
 
-    /** Frees the raw record storage; the records themselves are
-     * trivially destructible, so nothing else runs. */
-    struct RawFree
-    {
-        void operator()(CacheLine *p) const noexcept
-        {
-            ::operator delete(static_cast<void *>(p));
-        }
-    };
     static_assert(std::is_trivially_destructible_v<CacheLine>,
                   "CacheArray never destroys its lines");
 
     CacheLine *
     setBase(unsigned set)
     {
-        return _lines.get() + static_cast<std::size_t>(set) * _geom.ways;
+        return _lines + static_cast<std::size_t>(set) * _geom.ways;
     }
 
     /** True once @p set's lines are constructed. */
@@ -210,13 +213,17 @@ class CacheArray
     CacheGeometry _geom;
     unsigned _setShift;
     unsigned _sets;
+    /** Parallel to _lines: ~(line address) of each valid way, 0
+     * otherwise. find() scans this instead of the metadata records. */
+    Addr *_tags;
     /** sets x ways records, constructed one set at a time (buildSet). */
-    std::unique_ptr<CacheLine, RawFree> _lines;
+    CacheLine *_lines;
     /** One bit per set: its lines are constructed. */
     std::vector<std::uint64_t> _built;
-    /** Parallel to _lines: the line address of each valid way, kNoLine
-     * otherwise. find() scans this instead of the metadata records. */
-    std::vector<Addr> _tags;
+    /** Bytes of the storage block: the tags, then the records. */
+    std::size_t _blockBytes;
+    /** The pool the block came from, to hand it back to. */
+    Pool *_pool;
     /** Wrapping 32-bit LRU clock; victimFor compares stamps with a
      * wrap-aware signed difference, so wraparound (once per ~4G touches)
      * never inverts the recency order within a set. */

@@ -1,5 +1,6 @@
 #include "exp/json.hh"
 
+#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -66,53 +67,246 @@ writeJsonString(std::ostream &os, const std::string &s)
     os << '"';
 }
 
+// ---------------------------------------------------------------------
+// Reps: the heap half of string, array and object values.
+// ---------------------------------------------------------------------
+
+struct JsonValue::Rep
+{
+    Rep() = default;
+    /** A clone starts with one reference, its new owner's. */
+    Rep(const Rep &) noexcept {}
+    Rep &operator=(const Rep &) = delete;
+
+    std::atomic<std::uint32_t> refs{1};
+};
+
+struct JsonValue::StringRep : Rep
+{
+    explicit StringRep(std::string s) : str(std::move(s)) {}
+    std::string str;
+};
+
+struct JsonValue::ArrayRep : Rep
+{
+    std::vector<JsonValue> items;
+};
+
+struct JsonValue::ObjectRep : Rep
+{
+    std::vector<std::pair<std::string, JsonValue>> members;
+};
+
+JsonValue::JsonValue(std::string s)
+    : _kind(Kind::String), _rep(new StringRep(std::move(s)))
+{
+}
+
+JsonValue
+JsonValue::array()
+{
+    return JsonValue(Kind::Array, new ArrayRep());
+}
+
+JsonValue
+JsonValue::object()
+{
+    return JsonValue(Kind::Object, new ObjectRep());
+}
+
+void
+JsonValue::copyPayload(const JsonValue &other) noexcept
+{
+    switch (other._kind) {
+    case Kind::Null:
+        _num = 0.0;
+        break;
+    case Kind::Bool:
+        _bool = other._bool;
+        break;
+    case Kind::Number:
+        _num = other._num;
+        break;
+    default:
+        _rep = other._rep;
+    }
+}
+
+JsonValue::JsonValue(const JsonValue &other) noexcept : _kind(other._kind)
+{
+    copyPayload(other);
+    if (hasRep())
+        ++_rep->refs;
+}
+
+JsonValue::JsonValue(JsonValue &&other) noexcept : _kind(other._kind)
+{
+    copyPayload(other);
+    other._kind = Kind::Null;
+    other._num = 0.0;
+}
+
+JsonValue &
+JsonValue::operator=(const JsonValue &other) noexcept
+{
+    return *this = JsonValue(other);
+}
+
+JsonValue &
+JsonValue::operator=(JsonValue &&other) noexcept
+{
+    if (this != &other) {
+        // The old value dies last: @p other may live inside it.
+        JsonValue old(std::move(*this));
+        _kind = other._kind;
+        copyPayload(other);
+        other._kind = Kind::Null;
+        other._num = 0.0;
+    }
+    return *this;
+}
+
+void
+JsonValue::release() noexcept
+{
+    if (--_rep->refs != 0)
+        return;
+    switch (_kind) {
+    case Kind::String:
+        delete static_cast<StringRep *>(_rep);
+        break;
+    case Kind::Array:
+        delete static_cast<ArrayRep *>(_rep);
+        break;
+    default:
+        delete static_cast<ObjectRep *>(_rep);
+    }
+}
+
+void
+JsonValue::unshare()
+{
+    if (_rep->refs == 1)
+        return;
+    Rep *mine = _kind == Kind::Array
+                    ? static_cast<Rep *>(
+                          new ArrayRep(*static_cast<ArrayRep *>(_rep)))
+                    : new ObjectRep(*static_cast<ObjectRep *>(_rep));
+    release();
+    _rep = mine;
+}
+
+JsonValue::ArrayRep &
+JsonValue::arrayRep()
+{
+    unshare();
+    return *static_cast<ArrayRep *>(_rep);
+}
+
+JsonValue::ObjectRep &
+JsonValue::objectRep()
+{
+    unshare();
+    return *static_cast<ObjectRep *>(_rep);
+}
+
+const std::string &
+JsonValue::asString() const
+{
+    static const std::string empty;
+    return _kind == Kind::String ? static_cast<const StringRep *>(_rep)->str
+                                 : empty;
+}
+
+const std::vector<JsonValue> &
+JsonValue::items() const
+{
+    static const std::vector<JsonValue> empty;
+    return _kind == Kind::Array ? static_cast<const ArrayRep *>(_rep)->items
+                                : empty;
+}
+
+const std::vector<std::pair<std::string, JsonValue>> &
+JsonValue::members() const
+{
+    static const std::vector<std::pair<std::string, JsonValue>> empty;
+    return _kind == Kind::Object
+               ? static_cast<const ObjectRep *>(_rep)->members
+               : empty;
+}
+
 JsonValue &
 JsonValue::push(JsonValue v)
 {
     simAssert(_kind == Kind::Array, "JsonValue::push on non-array");
-    _items.push_back(std::move(v));
-    return _items.back();
+    std::vector<JsonValue> &items = arrayRep().items;
+    items.push_back(std::move(v));
+    return items.back();
 }
 
 JsonValue &
 JsonValue::operator[](const std::string &key)
 {
     simAssert(_kind == Kind::Object, "JsonValue::[] on non-object");
-    for (auto &[k, v] : _members) {
+    auto &members = objectRep().members;
+    for (auto &[k, v] : members) {
         if (k == key)
             return v;
     }
-    _members.emplace_back(key, JsonValue());
-    return _members.back().second;
+    members.emplace_back(key, JsonValue());
+    return members.back().second;
 }
 
 JsonValue &
 JsonValue::append(std::string key, JsonValue v)
 {
     simAssert(_kind == Kind::Object, "JsonValue::append on non-object");
-    _members.emplace_back(std::move(key), std::move(v));
-    return _members.back().second;
+    auto &members = objectRep().members;
+    members.emplace_back(std::move(key), std::move(v));
+    return members.back().second;
+}
+
+void
+JsonValue::reserve(std::size_t n)
+{
+    simAssert(_kind == Kind::Array || _kind == Kind::Object,
+              "JsonValue::reserve on a scalar");
+    if (_kind == Kind::Array)
+        arrayRep().items.reserve(n);
+    else
+        objectRep().members.reserve(n);
 }
 
 const JsonValue *
 JsonValue::get(const std::string &key) const
 {
-    if (_kind != Kind::Object)
-        return nullptr;
-    for (const auto &[k, v] : _members) {
+    for (const auto &[k, v] : members()) {
         if (k == key)
             return &v;
     }
     return nullptr;
 }
 
+namespace
+{
+/** Write @p n spaces without building a string. */
+void
+writePad(std::ostream &os, std::size_t n)
+{
+    static constexpr char kSpaces[] =
+        "                                                                ";
+    constexpr std::size_t kChunk = sizeof(kSpaces) - 1;
+    for (; n > kChunk; n -= kChunk)
+        os.write(kSpaces, kChunk);
+    os.write(kSpaces, static_cast<std::streamsize>(n));
+}
+} // namespace
+
 void
 JsonValue::write(std::ostream &os, unsigned indent, unsigned depth) const
 {
-    const std::string pad =
-        indent ? std::string(indent * (depth + 1), ' ') : std::string();
-    const std::string closePad =
-        indent ? std::string(indent * depth, ' ') : std::string();
+    const std::size_t pad = std::size_t{indent} * (depth + 1);
+    const std::size_t closePad = std::size_t{indent} * depth;
     const char *nl = indent ? "\n" : "";
     const char *colon = indent ? ": " : ":";
 
@@ -127,40 +321,46 @@ JsonValue::write(std::ostream &os, unsigned indent, unsigned depth) const
         writeJsonNumber(os, _num);
         break;
     case Kind::String:
-        writeJsonString(os, _str);
+        writeJsonString(os, asString());
         break;
-    case Kind::Array:
-        if (_items.empty()) {
+    case Kind::Array: {
+        const std::vector<JsonValue> &items = this->items();
+        if (items.empty()) {
             os << "[]";
             break;
         }
         os << '[' << nl;
-        for (std::size_t i = 0; i < _items.size(); ++i) {
-            os << pad;
-            _items[i].write(os, indent, depth + 1);
-            if (i + 1 < _items.size())
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            writePad(os, pad);
+            items[i].write(os, indent, depth + 1);
+            if (i + 1 < items.size())
                 os << ',';
             os << nl;
         }
-        os << closePad << ']';
+        writePad(os, closePad);
+        os << ']';
         break;
-    case Kind::Object:
-        if (_members.empty()) {
+    }
+    case Kind::Object: {
+        const auto &members = this->members();
+        if (members.empty()) {
             os << "{}";
             break;
         }
         os << '{' << nl;
-        for (std::size_t i = 0; i < _members.size(); ++i) {
-            os << pad;
-            writeJsonString(os, _members[i].first);
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            writePad(os, pad);
+            writeJsonString(os, members[i].first);
             os << colon;
-            _members[i].second.write(os, indent, depth + 1);
-            if (i + 1 < _members.size())
+            members[i].second.write(os, indent, depth + 1);
+            if (i + 1 < members.size())
                 os << ',';
             os << nl;
         }
-        os << closePad << '}';
+        writePad(os, closePad);
+        os << '}';
         break;
+    }
     }
 }
 
@@ -184,14 +384,19 @@ JsonValue::operator==(const JsonValue &other) const
         return _bool == other._bool;
     case Kind::Number:
         return _num == other._num;
-    case Kind::String:
-        return _str == other._str;
-    case Kind::Array:
-        return _items == other._items;
-    case Kind::Object:
-        return _members == other._members;
+    default:
+        break;
     }
-    return false;
+    if (_rep == other._rep)
+        return true;
+    switch (_kind) {
+    case Kind::String:
+        return asString() == other.asString();
+    case Kind::Array:
+        return items() == other.items();
+    default:
+        return members() == other.members();
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -27,11 +27,22 @@
 namespace persim::exp
 {
 
-/** One JSON value: null, bool, number, string, array, or object. */
+/**
+ * One JSON value: null, bool, number, string, array, or object.
+ *
+ * A 16-byte handle: the kind, plus a bool, a double, or a pointer to
+ * a reference-counted string, array or object rep. Copying a value
+ * shares its rep (an atomic count bump, so copies may cross threads);
+ * the first mutation of a shared container (operator[], push, append,
+ * reserve) clones it first, so a copy never sees the other's edits.
+ * A value must not be inserted into itself (`v["k"] = v`): the member
+ * would share, and so contain, its own container's rep. Accessors of
+ * the wrong kind return empty or zero values.
+ */
 class JsonValue
 {
   public:
-    enum class Kind
+    enum class Kind : std::uint8_t
     {
         Null,
         Bool,
@@ -41,7 +52,7 @@ class JsonValue
         Object,
     };
 
-    JsonValue() : _kind(Kind::Null) {}
+    JsonValue() : _kind(Kind::Null), _num(0.0) {}
     JsonValue(bool b) : _kind(Kind::Bool), _bool(b) {}
     JsonValue(double d) : _kind(Kind::Number), _num(d) {}
     JsonValue(int i) : _kind(Kind::Number), _num(i) {}
@@ -54,24 +65,34 @@ class JsonValue
         : _kind(Kind::Number), _num(static_cast<double>(i))
     {
     }
-    JsonValue(const char *s) : _kind(Kind::String), _str(s) {}
-    JsonValue(std::string s) : _kind(Kind::String), _str(std::move(s)) {}
+    JsonValue(const char *s) : JsonValue(std::string(s)) {}
+    JsonValue(std::string s);
 
-    static JsonValue array() { return JsonValue(Kind::Array); }
-    static JsonValue object() { return JsonValue(Kind::Object); }
+    JsonValue(const JsonValue &other) noexcept;
+    JsonValue(JsonValue &&other) noexcept;
+    JsonValue &operator=(const JsonValue &other) noexcept;
+    JsonValue &operator=(JsonValue &&other) noexcept;
+    ~JsonValue()
+    {
+        if (hasRep())
+            release();
+    }
+
+    static JsonValue array();
+    static JsonValue object();
 
     Kind kind() const { return _kind; }
     bool isNull() const { return _kind == Kind::Null; }
 
-    bool asBool() const { return _bool; }
-    double asNumber() const { return _num; }
-    const std::string &asString() const { return _str; }
+    bool asBool() const { return _kind == Kind::Bool && _bool; }
+    double asNumber() const { return _kind == Kind::Number ? _num : 0.0; }
+    const std::string &asString() const;
 
     /** Array: append an element (value must be an array). */
     JsonValue &push(JsonValue v);
-    const std::vector<JsonValue> &items() const { return _items; }
-    std::size_t size() const { return _items.size(); }
-    const JsonValue &at(std::size_t i) const { return _items.at(i); }
+    const std::vector<JsonValue> &items() const;
+    std::size_t size() const { return items().size(); }
+    const JsonValue &at(std::size_t i) const { return items().at(i); }
 
     /** Object: insert-or-get a member (value must be an object). */
     JsonValue &operator[](const std::string &key);
@@ -84,10 +105,10 @@ class JsonValue
     JsonValue &append(std::string key, JsonValue v);
     /** Object: lookup; nullptr when missing or not an object. */
     const JsonValue *get(const std::string &key) const;
-    const std::vector<std::pair<std::string, JsonValue>> &members() const
-    {
-        return _members;
-    }
+    const std::vector<std::pair<std::string, JsonValue>> &members() const;
+
+    /** Array or object: room for @p n elements or members. */
+    void reserve(std::size_t n);
 
     /**
      * Render the document. @p indent > 0 pretty-prints with that many
@@ -103,14 +124,33 @@ class JsonValue
     bool operator==(const JsonValue &other) const;
 
   private:
-    explicit JsonValue(Kind k) : _kind(k) {}
+    struct Rep;
+    struct StringRep;
+    struct ArrayRep;
+    struct ObjectRep;
+
+    JsonValue(Kind k, Rep *rep) : _kind(k), _rep(rep) {}
+
+    /** String, array and object values keep their data in a rep. */
+    bool hasRep() const { return _kind >= Kind::String; }
+    /** Take @p other's kind-specific payload; no reference counting. */
+    void copyPayload(const JsonValue &other) noexcept;
+    /** Drop this handle's reference to its rep (which dies with the
+     * last); only for kinds that have one. */
+    void release() noexcept;
+    /** Clone a shared container rep so this handle owns it alone. */
+    void unshare();
+    /** The container's rep, unshared for mutation. */
+    ArrayRep &arrayRep();
+    ObjectRep &objectRep();
 
     Kind _kind;
-    bool _bool = false;
-    double _num = 0.0;
-    std::string _str;
-    std::vector<JsonValue> _items;
-    std::vector<std::pair<std::string, JsonValue>> _members;
+    union
+    {
+        bool _bool;
+        double _num;
+        Rep *_rep;
+    };
 };
 
 /** Append @p v to @p os in shortest round-trip form, JSON-compatible. */

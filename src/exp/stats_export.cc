@@ -11,6 +11,7 @@ JsonValue
 distributionToJson(const Distribution &d)
 {
     JsonValue out = JsonValue::object();
+    out.reserve(9);
     out.append("count", JsonValue(d.count()));
     out.append("mean", JsonValue(d.mean()));
     out.append("stdev", JsonValue(d.stdev()));
@@ -32,14 +33,18 @@ statGroupsToJson(const std::vector<const StatGroup *> &groups)
     // without operator[]'s duplicate scan — the mesh group alone
     // carries ~500 scalars.
     JsonValue out = JsonValue::object();
+    out.reserve(groups.size());
     for (const StatGroup *g : groups) {
         JsonValue scalars = JsonValue::object();
+        scalars.reserve(g->scalars().size());
         for (const Scalar *s : g->scalars())
             scalars.append(s->name(), JsonValue(s->value()));
         JsonValue dists = JsonValue::object();
+        dists.reserve(g->distributions().size());
         for (const Distribution *d : g->distributions())
             dists.append(d->name(), distributionToJson(*d));
         JsonValue &entry = out.append(g->name(), JsonValue::object());
+        entry.reserve(2);
         entry.append("scalars", std::move(scalars));
         entry.append("distributions", std::move(dists));
     }

@@ -8,8 +8,8 @@
 namespace persim
 {
 
-Scalar::Scalar(StatGroup *parent, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
+Scalar::Scalar(StatGroup *parent, std::string name, const char *desc)
+    : _name(std::move(name)), _desc(desc)
 {
     if (parent) {
         _value = parent->allocCounter();
@@ -17,17 +17,17 @@ Scalar::Scalar(StatGroup *parent, std::string name, std::string desc)
     }
 }
 
-Scalar::Scalar(StatGroup *parent, std::string name, std::string desc,
+Scalar::Scalar(StatGroup *parent, std::string name, const char *desc,
                std::uint64_t *slot)
-    : _name(std::move(name)), _desc(std::move(desc)), _value(slot)
+    : _name(std::move(name)), _desc(desc), _value(slot)
 {
     if (parent)
         parent->add(this);
 }
 
 Distribution::Distribution(StatGroup *parent, std::string name,
-                           std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
+                           const char *desc)
+    : _name(std::move(name)), _desc(desc)
 {
     if (parent)
         parent->add(this);

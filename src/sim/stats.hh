@@ -42,9 +42,10 @@ class Scalar
      * @param parent Group the stat registers with (may be nullptr for
      *               free-standing counters in tests).
      * @param name Stat name within the group, e.g. "loads".
-     * @param desc One-line description for dumps.
+     * @param desc One-line description for dumps; a string literal
+     *             (the Scalar keeps the pointer).
      */
-    Scalar(StatGroup *parent, std::string name, std::string desc);
+    Scalar(StatGroup *parent, std::string name, const char *desc);
 
     /**
      * A Scalar that counts in @p slot, a counter the owning component
@@ -52,7 +53,7 @@ class Scalar
      * table). @p slot must outlive the Scalar; @p parent registers the
      * stat as usual but allocates no arena counter for it.
      */
-    Scalar(StatGroup *parent, std::string name, std::string desc,
+    Scalar(StatGroup *parent, std::string name, const char *desc,
            std::uint64_t *slot);
 
     Scalar(const Scalar &) = delete;
@@ -72,13 +73,13 @@ class Scalar
 
     std::uint64_t value() const { return *_value; }
     const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
+    const char *desc() const { return _desc; }
 
     void reset() { *_value = 0; }
 
   private:
     std::string _name;
-    std::string _desc;
+    const char *_desc;
     /** Inline fallback for free-standing (parentless) counters. */
     std::uint64_t _own = 0;
     /** The live counter: a group-arena slot, a component-owned slot,
@@ -106,7 +107,8 @@ class Scalar
 class Distribution
 {
   public:
-    Distribution(StatGroup *parent, std::string name, std::string desc);
+    /** @p desc is a string literal, as for Scalar. */
+    Distribution(StatGroup *parent, std::string name, const char *desc);
 
     /** Record one sample. */
     void sample(double v);
@@ -165,7 +167,7 @@ class Distribution
     double p99() const { return percentile(99.0); }
 
     const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
+    const char *desc() const { return _desc; }
 
     void reset();
 
@@ -195,7 +197,7 @@ class Distribution
     static double bucketValue(unsigned b);
 
     std::string _name;
-    std::string _desc;
+    const char *_desc;
     std::uint64_t _count = 0;
     double _sum = 0.0;
     double _sumSq = 0.0;

@@ -11,6 +11,7 @@
 #include "cache/cache_array.hh"
 #include "cache/mshr.hh"
 #include "cpu/write_buffer.hh"
+#include "model/system.hh"
 #include "sim/logging.hh"
 
 namespace persim
@@ -236,6 +237,76 @@ TEST(CacheArray, ForEachValidVisitsOnlyFilledLines)
     visits = 0;
     arr.forEachValid([&](CacheLine &) { ++visits; });
     EXPECT_EQ(visits, 2u);
+}
+
+TEST(CacheArray, RecycledStorageStartsEmpty)
+{
+    // Fill every way of an array with dirty, tagged, pinned lines, then
+    // destroy it: its block goes back to this thread's pool, and the
+    // next array of the same geometry takes it.
+    const CacheGeometry geom{4 * 1024, 4};
+    std::vector<Addr> filled;
+    {
+        CacheArray old("old", geom);
+        for (unsigned w = 0; w < old.ways(); ++w) {
+            for (unsigned set = 0; set < old.sets(); ++set) {
+                const Addr a = (Addr{w} * old.sets() + set) * 64;
+                CacheLine &line = old.fill(*old.victimFor(a, false), a,
+                                           CoherenceState::Modified);
+                line.setDirty(true);
+                line.setTag(1, 9);
+                line.setOwner(2);
+                line.setPinned(true);
+                filled.push_back(a);
+            }
+        }
+    }
+    const std::size_t mapped = CacheArray::regionsMapped();
+    CacheArray arr("new", geom);
+    EXPECT_EQ(CacheArray::regionsMapped(), mapped); // reused, not mapped
+
+    for (Addr a : filled)
+        EXPECT_EQ(arr.find(a), nullptr) << a;
+    unsigned visits = 0;
+    arr.forEachValid([&](CacheLine &) { ++visits; });
+    EXPECT_EQ(visits, 0u);
+
+    // The first victim is way 0 of freshly built lines, not a stale
+    // (pinned) record of the old array.
+    const Addr a = filled.front();
+    CacheLine *v = arr.victimFor(a, true);
+    ASSERT_NE(v, nullptr);
+    EXPECT_FALSE(v->valid());
+    EXPECT_FALSE(v->pinned());
+    EXPECT_FALSE(v->dirty());
+    EXPECT_FALSE(v->tagged());
+    EXPECT_EQ(v->owner(), kNoCore);
+    EXPECT_EQ(v->sharers(), 0u);
+    EXPECT_EQ(v->lruStamp(), 0u);
+    CacheLine &line = arr.fill(*v, a, CoherenceState::Shared);
+    EXPECT_EQ(arr.find(a), &line);
+    EXPECT_EQ(arr.victimFor(a + 16 * 64, true), &line + 1);
+}
+
+TEST(CacheArray, MachinesOnOneThreadReuseOneMachinesStorage)
+{
+    // Every cell of a sweep builds a fresh System on its worker thread;
+    // the pool must hand the last machine's blocks to the next one
+    // rather than map a new set per machine.
+    const auto cfg = model::SystemConfig::paperTable1();
+    ASSERT_EQ(cfg.numCores, 32u);
+    const std::size_t before = CacheArray::regionsMapped();
+    {
+        model::System sys(cfg);
+    }
+    const std::size_t oneMachine = CacheArray::regionsMapped();
+    // One L1 per core and one LLC bank per core, at most.
+    EXPECT_LE(oneMachine - before, 2u * cfg.numCores);
+    for (int i = 0; i < 2; ++i) {
+        model::System sys(cfg);
+        EXPECT_EQ(CacheArray::regionsMapped(), oneMachine);
+    }
+    EXPECT_EQ(CacheArray::regionsMapped(), oneMachine);
 }
 
 TEST(Mshr, AllocateMergeRelease)

@@ -82,6 +82,59 @@ TEST(ExpJson, ObjectPreservesInsertionOrder)
     EXPECT_EQ(appended.dump(0), text);
 }
 
+TEST(ExpJson, ValueIsASixteenByteHandle)
+{
+    EXPECT_LE(sizeof(JsonValue), 16u);
+}
+
+TEST(ExpJson, MutatingACopyLeavesTheOriginalUnchanged)
+{
+    JsonValue list = JsonValue::array();
+    list.push(JsonValue("x"));
+    JsonValue orig = JsonValue::object();
+    orig["a"] = JsonValue(1);
+    orig["list"] = list;
+    orig["nested"] = JsonValue::object();
+    orig["nested"]["k"] = JsonValue(true);
+    const std::string origText = orig.dump();
+    const std::string listText = list.dump();
+
+    JsonValue viaIndex = orig;
+    viaIndex["a"] = JsonValue(2);
+    viaIndex["nested"]["k"] = JsonValue(false);
+    JsonValue viaAppend = orig;
+    viaAppend.append("b", JsonValue(3));
+    JsonValue viaPush = orig;
+    viaPush["list"].push(JsonValue("y"));
+    JsonValue listCopy = list;
+    listCopy.push(JsonValue("z"));
+
+    EXPECT_EQ(orig.dump(), origText);
+    EXPECT_EQ(list.dump(), listText);
+    EXPECT_EQ(viaIndex.get("a")->asNumber(), 2.0);
+    EXPECT_FALSE(viaIndex.get("nested")->get("k")->asBool());
+    EXPECT_EQ(viaAppend.members().size(), 4u);
+    EXPECT_EQ(viaPush.get("list")->size(), 2u);
+    EXPECT_EQ(listCopy.size(), 2u);
+    // Mutating the original afterwards leaves the copies alone too.
+    orig["a"] = JsonValue(5);
+    EXPECT_EQ(viaAppend.get("a")->asNumber(), 1.0);
+    EXPECT_EQ(viaPush.get("a")->asNumber(), 1.0);
+}
+
+TEST(ExpJson, WrongKindAccessorsReturnEmptyValues)
+{
+    const JsonValue num(4.0);
+    EXPECT_EQ(num.asString(), "");
+    EXPECT_TRUE(num.items().empty());
+    EXPECT_TRUE(num.members().empty());
+    EXPECT_EQ(num.size(), 0u);
+    EXPECT_EQ(num.get("k"), nullptr);
+    EXPECT_FALSE(num.asBool());
+    EXPECT_EQ(JsonValue("s").asNumber(), 0.0);
+    EXPECT_EQ(JsonValue::object().size(), 0u);
+}
+
 TEST(ExpJson, ParseRejectsGarbage)
 {
     EXPECT_THROW(JsonValue::parse("{\"a\":}"), SimFatal);
@@ -180,6 +233,31 @@ TEST(ExpStatsExport, StatTreeRoundTripsThroughJson)
     EXPECT_EQ(d->get("max")->asNumber(), 100.0);
     EXPECT_EQ(d->get("p50")->asNumber(), lat.p50());
     EXPECT_EQ(d->get("p99")->asNumber(), lat.p99());
+}
+
+TEST(ExpStatsExport, CopiedA32CoreStatTreeRendersIdentically)
+{
+    const Sweep sweep = exp::figureSweep(11, /*ops=*/20, /*cores=*/32,
+                                         /*seed=*/1);
+    JobOutcome out = exp::runJob(sweep.jobs.front(), 0, nullptr);
+    ASSERT_TRUE(out.ok) << out.error;
+    const std::string text = out.statTree.dump(2);
+    ASSERT_GT(out.statTree.members().size(), 32u);
+
+    // The sweep document's copy shares the tree and renders the same.
+    const JsonValue doc = out.toJson();
+    EXPECT_EQ(doc.get("groups")->dump(2), text);
+    // So does a rebuilt tree: nothing in the rendering depends on
+    // sharing.
+    EXPECT_EQ(JsonValue::parse(text).dump(2), text);
+
+    // Editing a copy deep inside leaves the original's bytes alone.
+    JsonValue copy = out.statTree;
+    const std::string group = copy.members().front().first;
+    copy[group]["scalars"].append("extra", JsonValue(1));
+    EXPECT_EQ(out.statTree.dump(2), text);
+    EXPECT_EQ(doc.get("groups")->dump(2), text);
+    EXPECT_NE(copy.dump(2), text);
 }
 
 // ---------------------------------------------------------------------
