@@ -2,9 +2,8 @@
  * @file
  * Deterministic fault injection for the sweep harness.
  *
- * The fault-tolerance machinery (watchdog, sandbox isolation, journal
- * resume) is only trustworthy if it is exercised against real faults,
- * so the environment variable
+ * The retry loop and the watchdog are only trustworthy if they are
+ * exercised against real faults, so the environment variable
  *
  *     PERSIM_FAULT=<kind>:<jobIndex>
  *
@@ -15,8 +14,6 @@
  *     hang   - spin until the watchdog's cancel flag fires (or, with
  *              no watchdog, forever - an external kill is required),
  *              then surface as a timeout
- *     segv   - raise SIGSEGV (contained only by --isolate)
- *     abort  - std::abort() (contained only by --isolate)
  *
  * The hook is keyed by job index, not id, so the same injection works
  * unchanged across figures and filters; an index of SIZE_MAX (the
@@ -40,8 +37,6 @@ enum class Kind
     None,
     Throw,
     Hang,
-    Segv,
-    Abort,
 };
 
 /** One parsed injection directive. */

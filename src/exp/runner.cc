@@ -7,11 +7,7 @@
 #include <exception>
 #include <thread>
 
-#include <signal.h>
-
 #include "exp/fault.hh"
-#include "exp/journal.hh"
-#include "exp/sandbox.hh"
 #include "exp/stats_export.hh"
 #include "prof/hw_counters.hh"
 #include "prof/phase.hh"
@@ -262,15 +258,12 @@ SweepRunner::run(const Sweep &sweep)
     // Watchdog bookkeeping. attemptStartMs holds msSince(start)+1 for
     // the running attempt (0 = no attempt in flight, so the epoch
     // itself can never read as idle); cancelFlags is the cooperative
-    // cancel handshake with model::System; childPids names the live
-    // sandbox child (if any) so an over-deadline job can be SIGKILLed.
+    // cancel handshake with model::System.
     std::vector<std::atomic<std::uint64_t>> attemptStartMs(total);
     std::vector<std::atomic<bool>> cancelFlags(total);
-    std::vector<std::atomic<int>> childPids(total);
     for (std::size_t i = 0; i < total; ++i) {
         attemptStartMs[i].store(0);
         cancelFlags[i].store(false);
-        childPids[i].store(0);
     }
 
     const auto start = std::chrono::steady_clock::now();
@@ -300,10 +293,6 @@ SweepRunner::run(const Sweep &sweep)
                         continue;
                     cancelFlags[i].store(true,
                                          std::memory_order_relaxed);
-                    const int pid =
-                        childPids[i].load(std::memory_order_relaxed);
-                    if (pid > 0)
-                        ::kill(static_cast<pid_t>(pid), SIGKILL);
                 }
             }
         });
@@ -321,10 +310,6 @@ SweepRunner::run(const Sweep &sweep)
                 std::size_t counts[kJobStateCount] = {};
                 for (const auto &s : states)
                     ++counts[s.load(std::memory_order_relaxed)];
-                // A sandbox child doing useful work is "running" as
-                // far as a human watching progress is concerned.
-                counts[static_cast<unsigned>(JobState::Running)] +=
-                    counts[static_cast<unsigned>(JobState::Isolated)];
                 const double elapsed = msSince(start);
                 const double evPerSec =
                     elapsed > 0.0 ? static_cast<double>(
@@ -381,10 +366,7 @@ SweepRunner::run(const Sweep &sweep)
         state.store(static_cast<unsigned char>(JobState::Running),
                     std::memory_order_relaxed);
 
-        // Tracing records in-process simulation events, which a
-        // sandbox child cannot deliver back; --isolate sweeps run
-        // untraced (persim_sweep refuses the combination up front).
-        const bool tracing = !_opts.isolate && index == traceIndex;
+        const bool tracing = index == traceIndex;
         if (tracing)
             trace::attachRecorder(_recorder.get());
 
@@ -400,9 +382,8 @@ SweepRunner::run(const Sweep &sweep)
             counters->start();
         }
 
-        // The one attempt loop. The deadline clock and the retry
-        // policy stay here, where they survive any way an attempt (or
-        // a sandbox child) can die.
+        // The one attempt loop: the deadline clock and the retry
+        // policy live here, around each runJob.
         const unsigned maxAttempts =
             _opts.maxAttempts ? _opts.maxAttempts : 1;
         JobOutcome outcome;
@@ -422,19 +403,13 @@ SweepRunner::run(const Sweep &sweep)
             attemptStartMs[index].store(
                 static_cast<std::uint64_t>(msSince(start)) + 1,
                 std::memory_order_relaxed);
-            if (_opts.isolate) {
-                state.store(static_cast<unsigned char>(JobState::Isolated),
-                            std::memory_order_relaxed);
-                outcome = runJobSandboxed(spec, index, &childPids[index]);
-            } else {
-                outcome = runJob(spec, index, &cancelFlags[index]);
-            }
+            outcome = runJob(spec, index, &cancelFlags[index]);
             attemptStartMs[index].store(0, std::memory_order_relaxed);
             outcome.attempts = attempt;
             if (!outcome.ok &&
                 cancelFlags[index].load(std::memory_order_relaxed)) {
-                // The watchdog cancelled or killed this attempt; report
-                // it as a timeout, not as SimCancelled or SIGKILL.
+                // The watchdog cancelled this attempt; report it as a
+                // timeout, not as SimCancelled.
                 outcome.timedOut = true;
                 outcome.error = "timeout";
             }
@@ -457,10 +432,6 @@ SweepRunner::run(const Sweep &sweep)
                            : (outcome.timedOut ? JobState::TimedOut
                                                : JobState::Failed)),
             std::memory_order_relaxed);
-        // Journal the cell before announcing it done: once a line is
-        // fsync'd, a crash anywhere later cannot lose this result.
-        if (_opts.journal && outcome.ok)
-            _opts.journal->append(outcome);
         jobWorker[index] = worker;
         jobRssKb[index] = currentRssKb();
         doneEvents.fetch_add(outcome.result.events,
@@ -511,9 +482,6 @@ SweepRunner::run(const Sweep &sweep)
         jt.state = o.ok ? JobState::Done
                         : (o.timedOut ? JobState::TimedOut
                                       : JobState::Failed);
-        jt.isolated = _opts.isolate;
-        jt.exitCode = o.exitCode;
-        jt.termSignal = o.termSignal;
         jt.attempts = o.attempts;
         jt.worker = jobWorker[i];
         jt.wallMs = o.wallMs;

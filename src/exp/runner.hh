@@ -15,29 +15,16 @@
  * than an NP baseline), so stealing — not static partitioning — is
  * what keeps all cores busy until the tail.
  *
- * Jobs are isolated: an exception inside one job (bad config, panic,
- * bug), a deadlock, a run that hits the simulation safety limit or an
- * ordering violation fails that cell only. SweepRunner::run owns the
- * one attempt loop: each attempt is a single runJob (or, with isolate,
- * runJobSandboxed), and a failed cell is retried up to maxAttempts
- * times with bounded exponential backoff before it is recorded as a
- * failed outcome. Two optional layers harden that guarantee against
- * faults exceptions cannot catch:
- *
- *   - Watchdog (RunnerOptions::jobTimeoutMs): a monitor thread tracks
- *     every attempt's deadline and flips a per-job cancel flag that
- *     System::run polls, so a runaway cell becomes a failed outcome
- *     (error "timeout") instead of a stuck sweep.
- *   - Sandbox isolation (RunnerOptions::isolate): each job forks into
- *     a child that streams its JobOutcome JSON back over a pipe, so a
- *     segfault/abort/OOM kills one cell (exit status and signal name
- *     recorded) instead of the whole process. The watchdog SIGKILLs
- *     over-deadline children.
- *
- * With RunnerOptions::journal set, every completed cell is appended
- * to a crash-safe journal (one fsync'd JSON line per job) so an
- * interrupted sweep can resume without re-running finished cells
- * (exp/journal.hh, persim_sweep --resume).
+ * A failing cell fails alone: an exception inside one job (bad config,
+ * panic, bug), a deadlock, a run that hits the simulation safety limit
+ * or an ordering violation fails that cell only. SweepRunner::run owns
+ * the one attempt loop: each attempt is a single runJob, and a failed
+ * cell is retried up to maxAttempts times with bounded exponential
+ * backoff before it is recorded as a failed outcome. The watchdog
+ * (RunnerOptions::jobTimeoutMs) is a monitor thread that tracks every
+ * attempt's deadline and flips a per-job cancel flag that System::run
+ * polls, so a runaway cell becomes a failed outcome (error "timeout")
+ * instead of a stuck sweep.
  */
 
 #ifndef PERSIM_EXP_RUNNER_HH
@@ -62,8 +49,6 @@
 
 namespace persim::exp
 {
-
-class SweepJournal;
 
 /** Result of running one ExperimentSpec (successfully or not). */
 struct JobOutcome
@@ -90,15 +75,6 @@ struct JobOutcome
      * state.
      */
     bool timedOut = false;
-
-    /**
-     * Sandbox child's exit status (isolated jobs that exited; -1
-     * otherwise) and terminating signal name ("SIGSEGV", "" = none).
-     * Serialized only for failed jobs, so a green isolated sweep is
-     * byte-identical to an in-process one.
-     */
-    int exitCode = -1;
-    std::string termSignal;
 
     model::SimResult result;
     std::map<std::string, double> stats;
@@ -197,29 +173,10 @@ struct RunnerOptions
      * attempt by a monitor thread; 0 disables the watchdog. A
      * timed-out attempt is recorded exactly like a thrown exception
      * (error "timeout", telemetry state "timed-out") and retried up
-     * to maxAttempts. In-process enforcement is cooperative
-     * (System::run polls between events); with isolate the child is
-     * SIGKILLed, which also contains hangs inside a single event.
+     * to maxAttempts. Enforcement is cooperative: System::run polls
+     * the cancel flag between events.
      */
     unsigned jobTimeoutMs = 0;
-
-    /**
-     * Fork every job into a sandbox child process (exp/sandbox.hh).
-     * A crash (segfault, abort, OOM kill) becomes one failed cell
-     * with the exit status / signal name in its outcome instead of a
-     * dead sweep. Successful cells produce byte-identical sweep JSON
-     * either way. Per-job tracing and profiling counters do not cross
-     * the fork, so --trace/--prof readouts cover only the parent.
-     */
-    bool isolate = false;
-
-    /**
-     * When set, every completed (ok) job is appended to this journal
-     * as one fsync'd JSON line, enabling crash-safe resume
-     * (exp/journal.hh). The runner only appends; opening, validating
-     * and finalizing the journal is the caller's business.
-     */
-    std::shared_ptr<SweepJournal> journal;
 
     /** Print "[done/total] id status" lines to stderr as jobs finish. */
     bool progress = true;

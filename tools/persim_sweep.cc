@@ -25,10 +25,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 
 #include "exp/figures.hh"
 #include "exp/journal.hh"
@@ -84,21 +82,9 @@ usage(const char *argv0)
         "                    over-deadline jobs fail with error "
         "'timeout'\n"
         "                    (0 = no watchdog, the default)\n"
-        "  --isolate         fork every job into a sandbox child so a\n"
-        "                    segfault/abort/OOM kills one cell, not the\n"
-        "                    sweep (incompatible with --trace)\n"
-        "  --resume          resume an interrupted run from "
-        "<out>.journal:\n"
-        "                    journaled cells are merged, only the rest "
-        "run;\n"
-        "                    output is byte-identical to an "
-        "uninterrupted\n"
-        "                    run (needs --out; refuses a changed grid)\n"
         "  --out FILE        write the sweep JSON (default: stdout "
         "summary only);\n"
-        "                    completed cells are journaled to "
-        "FILE.journal\n"
-        "                    until the final atomic rename\n"
+        "                    a regular file is replaced atomically\n"
         "  --csv FILE        write the figure table as CSV\n"
         "  --no-stats        omit per-job stat trees from the JSON\n"
         "  --only PATTERN    run only jobs whose id contains PATTERN\n"
@@ -112,10 +98,6 @@ usage(const char *argv0)
         "traced job\n"
         "                    (default 5000; needs --trace)\n"
         "  --interval-csv F  write the interval counter samples as CSV\n"
-        "  --shard K/N       run only round-robin shard K of N (1-based);"
-        "\n"
-        "                    merge shard outputs with jq -s (see "
-        "tools/README.md)\n"
         "  --progress        live one-line telemetry to stderr while "
         "running\n"
         "  --prof            host-time profiling: phase-tag SIGPROF "
@@ -155,8 +137,6 @@ main(int argc, char **argv)
     unsigned numSeeds = 1;
     unsigned retries = 1;
     unsigned jobTimeoutMs = 0;
-    bool isolate = false;
-    bool resume = false;
     std::string outFile;
     std::string csvFile;
     std::string traceFile;
@@ -172,8 +152,6 @@ main(int argc, char **argv)
     std::string profFile;
     bool profEnabled = false;
     unsigned profHz = 0;
-    unsigned shardIndex = 1;
-    unsigned shardCount = 1;
     Tick intervalTicks = 0;
     bool intervalSet = false;
     bool includeStats = true;
@@ -215,10 +193,6 @@ main(int argc, char **argv)
         else if (arg == "--job-timeout-ms")
             jobTimeoutMs = parseNumU32("--job-timeout-ms",
                                        value("--job-timeout-ms"));
-        else if (arg == "--isolate")
-            isolate = true;
-        else if (arg == "--resume")
-            resume = true;
         else if (arg == "--out")
             outFile = value("--out");
         else if (arg == "--csv")
@@ -227,22 +201,7 @@ main(int argc, char **argv)
             includeStats = false;
         else if (arg == "--only")
             onlyPattern = value("--only");
-        else if (arg == "--shard") {
-            const std::string v = value("--shard");
-            const std::size_t slash = v.find('/');
-            if (slash != std::string::npos) {
-                shardIndex = parseNumU32("--shard", v.substr(0, slash));
-                shardCount = parseNumU32("--shard", v.substr(slash + 1));
-            }
-            if (slash == std::string::npos || shardCount == 0 ||
-                shardIndex == 0 || shardIndex > shardCount) {
-                std::fprintf(stderr,
-                             "--shard wants K/N with 1 <= K <= N, got "
-                             "'%s'\n",
-                             v.c_str());
-                return 2;
-            }
-        } else if (arg == "--progress")
+        else if (arg == "--progress")
             liveProgress = true;
         else if (arg == "--prof")
             profEnabled = true;
@@ -310,19 +269,6 @@ main(int argc, char **argv)
                      "--workload trace needs --trace-file FILE\n");
         return 2;
     }
-    if (isolate && !traceFile.empty()) {
-        // Trace events live in the child's memory and the sandbox pipe
-        // carries only the outcome document, so this combination would
-        // silently write an empty trace.
-        std::fprintf(stderr, "--isolate cannot record --trace "
-                             "(simulation runs in a child process)\n");
-        return 2;
-    }
-    if (resume && outFile.empty()) {
-        std::fprintf(stderr, "--resume needs --out FILE (the journal "
-                             "lives at FILE.journal)\n");
-        return 2;
-    }
 
     try {
         exp::Sweep sweep = exp::makeSweep(*def, ops, cores, seed);
@@ -388,27 +334,7 @@ main(int argc, char **argv)
             }
         }
 
-        if (shardCount > 1) {
-            const std::size_t before = sweep.jobs.size();
-            sweep.shard(shardIndex, shardCount);
-            std::fprintf(stderr, "shard %u/%u: %zu of %zu jobs\n",
-                         shardIndex, shardCount, sweep.jobs.size(),
-                         before);
-            if (sweep.jobs.empty()) {
-                // A 0-job document would merge cleanly and silently
-                // shrink the figure; refuse loudly instead so merge
-                // scripts can't drop a shard without noticing.
-                std::fprintf(stderr,
-                             "error: shard %u/%u of %s is empty (grid "
-                             "has fewer than %u jobs after filters); "
-                             "no output written\n",
-                             shardIndex, shardCount,
-                             sweep.name.c_str(), shardCount);
-                return 2;
-            }
-        }
-
-        // Applied after seed expansion / --only / --shard so every
+        // Applied after seed expansion and --only so every
         // surviving job gets its own trace path.
         auto tracePathFor = [&](const exp::ExperimentSpec &spec,
                                 const std::string &dir) {
@@ -450,7 +376,6 @@ main(int argc, char **argv)
         opts.jobs = jobs;
         opts.maxAttempts = 1 + retries;
         opts.jobTimeoutMs = jobTimeoutMs;
-        opts.isolate = isolate;
         opts.progress = !quiet;
         opts.liveProgress = liveProgress;
         opts.prof = profEnabled;
@@ -475,97 +400,10 @@ main(int argc, char **argv)
                          "--interval has no effect without --trace\n");
         }
 
-        // Crash-safe journal: every completed cell becomes durable in
-        // <out>.journal the moment it finishes; --resume merges those
-        // cells back instead of re-running them. The header pins the
-        // journal to this exact grid so a changed axis (ops, cores,
-        // filters) is refused rather than silently mixed.
-        //
-        // "--out /dev/null" (and any other non-regular target) gets
-        // neither journal nor atomic rename: renaming over a device
-        // node would replace it with a regular file.
-        const std::string journalPath = outFile + ".journal";
-        std::error_code outStatEc;
-        const auto outStat =
-            std::filesystem::status(outFile, outStatEc);
-        const bool specialOut =
-            !outFile.empty() && !outStatEc &&
-            std::filesystem::exists(outStat) &&
-            !std::filesystem::is_regular_file(outStat);
-        if (resume && specialOut) {
-            std::fprintf(stderr,
-                         "error: --resume needs a regular --out file, "
-                         "got %s\n",
-                         outFile.c_str());
-            return 2;
-        }
-        exp::JournalHeader header;
-        header.sweep = sweep.name;
-        header.jobCount = sweep.jobs.size();
-        header.gridHash = exp::gridFingerprint(sweep.jobs);
-
-        std::vector<std::pair<std::string, exp::JsonValue>> journaled;
-        exp::Sweep runSweep = sweep;
-        if (resume) {
-            exp::JournalContents jc = exp::loadJournal(journalPath);
-            if (!jc.exists) {
-                std::fprintf(stderr,
-                             "error: --resume: no journal at %s "
-                             "(nothing to resume)\n",
-                             journalPath.c_str());
-                return 2;
-            }
-            if (!jc.headerOk || !jc.header.matches(header)) {
-                std::fprintf(
-                    stderr,
-                    "error: --resume: journal %s does not match this "
-                    "grid (journal: sweep '%s', %zu jobs, grid %016llx; "
-                    "current: sweep '%s', %zu jobs, grid %016llx); "
-                    "rerun without --resume to start over\n",
-                    journalPath.c_str(), jc.header.sweep.c_str(),
-                    jc.header.jobCount,
-                    static_cast<unsigned long long>(jc.header.gridHash),
-                    sweep.name.c_str(), sweep.jobs.size(),
-                    static_cast<unsigned long long>(header.gridHash));
-                return 2;
-            }
-            if (jc.dropped > 0)
-                std::fprintf(stderr,
-                             "warning: dropped %zu torn journal "
-                             "line(s) (crash mid-append)\n",
-                             jc.dropped);
-            if (jc.duplicates > 0)
-                std::fprintf(stderr,
-                             "warning: %zu duplicate journal entries "
-                             "(latest wins)\n",
-                             jc.duplicates);
-            journaled = std::move(jc.entries);
-            std::unordered_set<std::string> doneIds;
-            for (const auto &e : journaled)
-                doneIds.insert(e.first);
-            std::erase_if(runSweep.jobs, [&](const auto &spec) {
-                return doneIds.count(spec.id()) != 0;
-            });
-            std::fprintf(stderr,
-                         "resume: %zu of %zu cells journaled, "
-                         "running %zu\n",
-                         doneIds.size(), sweep.jobs.size(),
-                         runSweep.jobs.size());
-        }
-        std::shared_ptr<exp::SweepJournal> journal;
-        if (!outFile.empty() && !specialOut) {
-            journal = std::make_shared<exp::SweepJournal>();
-            journal->open(journalPath, header, /*fresh=*/!resume);
-            opts.journal = journal;
-        }
-
         std::fprintf(stderr, "%s: %zu jobs, %u worker(s)\n",
-                     sweep.name.c_str(), runSweep.jobs.size(), jobs);
+                     sweep.name.c_str(), sweep.jobs.size(), jobs);
         exp::SweepRunner runner(opts);
-        std::vector<exp::JobOutcome> outcomes = runner.run(runSweep);
-        if (resume)
-            outcomes = exp::mergeResumedOutcomes(sweep, journaled,
-                                                 std::move(outcomes));
+        const std::vector<exp::JobOutcome> outcomes = runner.run(sweep);
 
         std::size_t failed = 0;
         for (const auto &o : outcomes)
@@ -575,21 +413,19 @@ main(int argc, char **argv)
 
         exp::JsonValue doc = exp::sweepToJson(sweep, outcomes,
                                               includeStats);
-        if (shardCount > 1) {
-            // Mark shard membership so merged documents stay
-            // self-describing; unsharded output is unchanged.
-            exp::JsonValue sh = exp::JsonValue::object();
-            sh["index"] = exp::JsonValue(shardIndex);
-            sh["count"] = exp::JsonValue(shardCount);
-            doc["shard"] = std::move(sh);
-        }
         const std::vector<exp::FigureTable> tables =
             exp::sweepTables(*def, outcomes);
         const exp::FigureTable &table = tables.front();
         doc["table"] = exp::figureTableToJson(table);
 
         if (!outFile.empty()) {
-            if (specialOut) {
+            // "--out /dev/null" (or any other non-regular target) is
+            // written in place: renaming over a device node would
+            // replace it with a regular file.
+            std::error_code ec;
+            const auto st = std::filesystem::status(outFile, ec);
+            if (!ec && std::filesystem::exists(st) &&
+                !std::filesystem::is_regular_file(st)) {
                 std::ofstream os(outFile);
                 if (!os)
                     fatal("cannot write ", outFile);
@@ -605,20 +441,6 @@ main(int argc, char **argv)
             }
             std::fprintf(stderr, "wrote %s\n", outFile.c_str());
         }
-        if (journal) {
-            journal->close();
-            if (failed == 0) {
-                std::error_code ec;
-                std::filesystem::remove(journalPath, ec);
-            } else {
-                // Failed cells are not journaled, so a --resume rerun
-                // retries exactly them.
-                std::fprintf(stderr,
-                             "%zu failed cell(s); journal kept at %s "
-                             "for --resume\n",
-                             failed, journalPath.c_str());
-            }
-        }
         if (!csvFile.empty()) {
             std::ofstream os(csvFile);
             if (!os)
@@ -630,10 +452,8 @@ main(int argc, char **argv)
             std::ofstream os(traceFile);
             if (!os)
                 fatal("cannot write ", traceFile);
-            std::string traced =
-                traceJob.empty() && !runSweep.jobs.empty()
-                    ? runSweep.jobs.front().id()
-                    : traceJob;
+            const std::string traced =
+                traceJob.empty() ? sweep.jobs.front().id() : traceJob;
             exp::writeChromeTrace(os, *runner.recorder(),
                                   sweep.name + "/" + traced);
             std::fprintf(stderr,
