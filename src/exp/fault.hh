@@ -54,7 +54,11 @@ const char *kindName(Kind k);
  */
 Spec parse(std::string_view text);
 
-/** Parse PERSIM_FAULT from the environment; Kind::None when unset. */
+/**
+ * Parse PERSIM_FAULT from the environment; Kind::None when unset.
+ * persim_sweep calls it once at startup, so a malformed value exits 2
+ * before any cell runs instead of failing every attempt.
+ */
 Spec fromEnv();
 
 /**

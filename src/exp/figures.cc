@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "exp/stats_export.hh"
@@ -398,18 +399,21 @@ reduceTable(const TableSpec &spec, const std::vector<JobOutcome> &outcomes)
     table.seedCount = static_cast<unsigned>(seeds.size());
 
     // (workload, config, seed) -> value; normalized tables use the
-    // same seed's baseline so each replicate is self-consistent.
+    // same seed's baseline so each replicate is self-consistent. A
+    // failed cell or baseline is missing (NaN), so its cell and its
+    // column mean read n/a rather than a plausible-looking zero.
+    constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
     auto seedValue = [&](const std::string &w, const std::string &c,
                          std::uint64_t seed) -> double {
         const JobOutcome *o = findOutcome(outcomes, w, c, seed);
         if (!o || !o->ok)
-            return 0.0;
+            return kMissing;
         if (spec.baseline.empty())
             return spec.metric(*o);
         const JobOutcome *base =
             findOutcome(outcomes, w, baselineOf(spec.baseline, c), seed);
         if (!base || !base->ok)
-            return 0.0;
+            return kMissing;
         const double denom = spec.metric(*base);
         return denom == 0 ? 0.0 : spec.metric(*o) / denom;
     };
@@ -451,6 +455,8 @@ gmean(const std::vector<double> &xs)
     double logSum = 0;
     std::size_t n = 0;
     for (double x : xs) {
+        if (std::isnan(x))
+            return x;
         if (x > 0) {
             logSum += std::log(x);
             ++n;
@@ -634,7 +640,9 @@ printFigureTable(std::ostream &os, const FigureTable &table)
         std::snprintf(buf, sizeof(buf), "%-12s", table.rows[r].c_str());
         os << buf;
         for (std::size_t c = 0; c < table.cells[r].size(); ++c) {
-            if (ci) {
+            if (std::isnan(table.cells[r][c])) {
+                std::snprintf(buf, sizeof(buf), " %*s", width, "n/a");
+            } else if (ci) {
                 char cell[40];
                 std::snprintf(cell, sizeof(cell), "%.3f \xc2\xb1%.3f",
                               table.cells[r][c], table.cellsCi[r][c]);
@@ -652,7 +660,10 @@ printFigureTable(std::ostream &os, const FigureTable &table)
     std::snprintf(buf, sizeof(buf), "%-12s", table.meanLabel.c_str());
     os << buf;
     for (double m : table.means) {
-        std::snprintf(buf, sizeof(buf), " %*.3f", width, m);
+        if (std::isnan(m))
+            std::snprintf(buf, sizeof(buf), " %*s", width, "n/a");
+        else
+            std::snprintf(buf, sizeof(buf), " %*.3f", width, m);
         os << buf;
     }
     os << '\n';
@@ -714,7 +725,8 @@ figureTableToCsv(std::ostream &os, const FigureTable &table)
     std::vector<std::vector<std::string>> rows;
     auto fmt = [](double v) {
         std::ostringstream ss;
-        writeJsonNumber(ss, v);
+        if (!std::isnan(v)) // a missing cell is an empty field
+            writeJsonNumber(ss, v);
         return ss.str();
     };
     for (std::size_t r = 0; r < table.rows.size(); ++r) {

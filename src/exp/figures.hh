@@ -43,11 +43,14 @@ struct FigureTable
     std::string title;
     std::vector<std::string> rows;
     std::vector<std::string> cols;
-    /** cells[r][c]; 0.0 marks a missing/failed cell. */
+    /** cells[r][c]; NaN marks a missing/failed cell. */
     std::vector<std::vector<double>> cells;
     std::string meanLabel; // "gmean" or "amean"
     bool useGmean = true;
-    /** Column means over the workloads (matching meanLabel). */
+    /**
+     * Column means over the workloads (matching meanLabel); NaN when
+     * a cell of the column is missing.
+     */
     std::vector<double> means;
     /** Distinct seeds aggregated into each cell. */
     unsigned seedCount = 1;
@@ -133,7 +136,10 @@ Sweep figureSweep(int figure, std::uint64_t ops = 0, unsigned cores = 32,
 /** The paper figures figureSweep() understands. */
 const std::vector<int> &knownFigures();
 
-/** Geometric mean of @p xs (non-positive entries are skipped). */
+/**
+ * Geometric mean of @p xs (non-positive entries are skipped); NaN
+ * when any entry is NaN (a missing cell).
+ */
 double gmean(const std::vector<double> &xs);
 
 /** Arithmetic mean. */
@@ -169,13 +175,19 @@ std::vector<FigureTable> sweepTables(const SweepDefinition &def,
 FigureTable figureTable(int figure,
                         const std::vector<JobOutcome> &outcomes);
 
-/** Render as an aligned text table. */
+/** Render as an aligned text table; a missing value reads n/a. */
 void printFigureTable(std::ostream &os, const FigureTable &table);
 
-/** Serialize: {"title", "rows", "cols", "cells", "means", ...}. */
+/**
+ * Serialize: {"title", "rows", "cols", "cells", "means", ...}; a
+ * missing value is null.
+ */
 JsonValue figureTableToJson(const FigureTable &table);
 
-/** CSV: header "workload,<cols...>", one row per workload + mean row. */
+/**
+ * CSV: header "workload,<cols...>", one row per workload + mean row;
+ * a missing value is an empty field.
+ */
 void figureTableToCsv(std::ostream &os, const FigureTable &table);
 
 } // namespace persim::exp

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "sim/logging.hh"
 
@@ -125,7 +126,11 @@ JsonValue::copyPayload(const JsonValue &other) noexcept
         _bool = other._bool;
         break;
     case Kind::Number:
-        _num = other._num;
+        _form = other._form;
+        if (_form == NumForm::Double)
+            _num = other._num;
+        else
+            _bits = other._bits;
         break;
     default:
         _rep = other._rep;
@@ -208,6 +213,21 @@ JsonValue::objectRep()
 {
     unshare();
     return *static_cast<ObjectRep *>(_rep);
+}
+
+double
+JsonValue::asNumber() const
+{
+    if (_kind != Kind::Number)
+        return 0.0;
+    switch (_form) {
+    case NumForm::Signed:
+        return static_cast<double>(static_cast<std::int64_t>(_bits));
+    case NumForm::Unsigned:
+        return static_cast<double>(_bits);
+    default:
+        return _num;
+    }
 }
 
 const std::string &
@@ -317,9 +337,19 @@ JsonValue::write(std::ostream &os, unsigned indent, unsigned depth) const
     case Kind::Bool:
         os << (_bool ? "true" : "false");
         break;
-    case Kind::Number:
-        writeJsonNumber(os, _num);
+    case Kind::Number: {
+        if (_form == NumForm::Double) {
+            writeJsonNumber(os, _num);
+            break;
+        }
+        char buf[24];
+        auto res = _form == NumForm::Signed
+                       ? std::to_chars(buf, buf + sizeof(buf),
+                                       static_cast<std::int64_t>(_bits))
+                       : std::to_chars(buf, buf + sizeof(buf), _bits);
+        os.write(buf, res.ptr - buf);
         break;
+    }
     case Kind::String:
         writeJsonString(os, asString());
         break;
@@ -383,7 +413,11 @@ JsonValue::operator==(const JsonValue &other) const
     case Kind::Bool:
         return _bool == other._bool;
     case Kind::Number:
-        return _num == other._num;
+        // Two integers compare exactly; anything else as doubles.
+        if (_form != NumForm::Double && other._form != NumForm::Double)
+            return _bits == other._bits &&
+                   isNegativeInt() == other.isNegativeInt();
+        return asNumber() == other.asNumber();
     default:
         break;
     }
@@ -618,6 +652,19 @@ class Parser
             ++_pos;
         if (_pos == start)
             fail("expected a value");
+        // Integer literals stay exact when they fit 64 bits.
+        const char *first = _s.data() + start;
+        const char *last = _s.data() + _pos;
+        if (std::string_view(first, _pos - start).find_first_of(".eE") ==
+            std::string_view::npos) {
+            std::uint64_t u = 0;
+            std::int64_t i = 0;
+            const bool neg = *first == '-';
+            auto res = neg ? std::from_chars(first, last, i)
+                           : std::from_chars(first, last, u);
+            if (res.ec == std::errc() && res.ptr == last)
+                return neg ? JsonValue(i) : JsonValue(u);
+        }
         double v = 0.0;
         auto res = std::from_chars(_s.data() + start, _s.data() + _pos, v);
         if (res.ec != std::errc() || res.ptr != _s.data() + _pos)

@@ -13,6 +13,8 @@
  *
  * Numbers serialize via std::to_chars (shortest round-trip form);
  * integral values within int64 range render without a decimal point.
+ * 64-bit integers (seeds, counters) are kept exact, never rounded
+ * through a double, and integer literals parse back exactly.
  */
 
 #ifndef PERSIM_EXP_JSON_HH
@@ -30,11 +32,12 @@ namespace persim::exp
 /**
  * One JSON value: null, bool, number, string, array, or object.
  *
- * A 16-byte handle: the kind, plus a bool, a double, or a pointer to
- * a reference-counted string, array or object rep. Copying a value
- * shares its rep (an atomic count bump, so copies may cross threads);
- * the first mutation of a shared container (operator[], push, append,
- * reserve) clones it first, so a copy never sees the other's edits.
+ * A 16-byte handle: the kind, plus a bool, a double, a 64-bit
+ * integer, or a pointer to a reference-counted string, array or
+ * object rep. Copying a value shares its rep (an atomic count bump,
+ * so copies may cross threads); the first mutation of a shared
+ * container (operator[], push, append, reserve) clones it first, so a
+ * copy never sees the other's edits.
  * A value must not be inserted into itself (`v["k"] = v`): the member
  * would share, and so contain, its own container's rep. Accessors of
  * the wrong kind return empty or zero values.
@@ -55,14 +58,15 @@ class JsonValue
     JsonValue() : _kind(Kind::Null), _num(0.0) {}
     JsonValue(bool b) : _kind(Kind::Bool), _bool(b) {}
     JsonValue(double d) : _kind(Kind::Number), _num(d) {}
-    JsonValue(int i) : _kind(Kind::Number), _num(i) {}
-    JsonValue(unsigned u) : _kind(Kind::Number), _num(u) {}
+    JsonValue(int i) : JsonValue(std::int64_t{i}) {}
+    JsonValue(unsigned u) : JsonValue(std::uint64_t{u}) {}
     JsonValue(std::uint64_t u)
-        : _kind(Kind::Number), _num(static_cast<double>(u))
+        : _kind(Kind::Number), _form(NumForm::Unsigned), _bits(u)
     {
     }
     JsonValue(std::int64_t i)
-        : _kind(Kind::Number), _num(static_cast<double>(i))
+        : _kind(Kind::Number), _form(NumForm::Signed),
+          _bits(static_cast<std::uint64_t>(i))
     {
     }
     JsonValue(const char *s) : JsonValue(std::string(s)) {}
@@ -85,7 +89,7 @@ class JsonValue
     bool isNull() const { return _kind == Kind::Null; }
 
     bool asBool() const { return _kind == Kind::Bool && _bool; }
-    double asNumber() const { return _kind == Kind::Number ? _num : 0.0; }
+    double asNumber() const;
     const std::string &asString() const;
 
     /** Array: append an element (value must be an array). */
@@ -144,11 +148,29 @@ class JsonValue
     ArrayRep &arrayRep();
     ObjectRep &objectRep();
 
+    /** How a number is held: a double, or an exact 64-bit integer
+     * whose bits are in _bits. */
+    enum class NumForm : std::uint8_t
+    {
+        Double,
+        Signed,
+        Unsigned,
+    };
+
+    /** A negative Signed number. */
+    bool isNegativeInt() const
+    {
+        return _form == NumForm::Signed &&
+               static_cast<std::int64_t>(_bits) < 0;
+    }
+
     Kind _kind;
+    NumForm _form = NumForm::Double;
     union
     {
         bool _bool;
         double _num;
+        std::uint64_t _bits;
         Rep *_rep;
     };
 };

@@ -12,7 +12,6 @@
 #include "prof/hw_counters.hh"
 #include "prof/phase.hh"
 #include "prof/sampler.hh"
-#include "workload/trace/trace_capture.hh"
 
 namespace persim::exp
 {
@@ -96,8 +95,7 @@ runJob(const ExperimentSpec &spec, std::size_t index,
         model::SystemConfig cfg = spec.toSystemConfig();
         model::System sys(cfg);
         sys.setCancelFlag(cancel);
-        std::shared_ptr<workload::trace::TraceCaptureWriter> capture;
-        auto workloads = spec.buildWorkloads(&capture);
+        auto workloads = spec.buildWorkloads();
         for (unsigned t = 0; t < cfg.numCores; ++t)
             sys.setWorkload(static_cast<CoreId>(t),
                             std::move(workloads[t]));
@@ -108,10 +106,6 @@ runJob(const ExperimentSpec &spec, std::size_t index,
             out.statTree = statGroupsToJson(sys.statGroups());
         }
         judgeResult(out);
-        // Captures are written only for ok runs, so a failed attempt
-        // never leaves a partial or suspect trace behind.
-        if (out.ok && capture)
-            capture->writeBinaryFile(spec.captureFile);
     } catch (const std::exception &e) {
         out.ok = false;
         out.error = e.what();

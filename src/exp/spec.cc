@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "sim/logging.hh"
-#include "workload/trace/trace_capture.hh"
 #include "workload/workload_factory.hh"
 
 namespace persim::exp
@@ -154,26 +153,17 @@ ExperimentSpec::toSystemConfig() const
 }
 
 std::vector<std::unique_ptr<cpu::Workload>>
-ExperimentSpec::buildWorkloads(
-    std::shared_ptr<workload::trace::TraceCaptureWriter> *capture) const
+ExperimentSpec::buildWorkloads() const
 {
-    std::vector<std::unique_ptr<cpu::Workload>> ws;
-    if (!traceFile.empty()) {
-        ws = workload::makeTraceReplayWorkloads(traceFile, cores);
-    } else if (isMicro()) {
+    if (isMicro()) {
         workload::MicroConfig mc;
         mc.kind = workload::microKindFromName(workload);
         mc.numThreads = cores;
         mc.opsPerThread = ops;
         mc.seed = seed;
-        ws = workload::makeMicroWorkloads(mc);
-    } else {
-        ws = workload::makeSyntheticWorkloads(workload, cores, ops,
-                                              seed);
+        return workload::makeMicroWorkloads(mc);
     }
-    if (capture != nullptr && !captureFile.empty())
-        *capture = workload::trace::wrapWithCapture(ws, workload, seed);
-    return ws;
+    return workload::makeSyntheticWorkloads(workload, cores, ops, seed);
 }
 
 JsonValue

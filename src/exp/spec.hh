@@ -28,11 +28,6 @@
 #include "exp/json.hh"
 #include "model/system_config.hh"
 
-namespace persim::workload::trace
-{
-class TraceCaptureWriter;
-} // namespace persim::workload::trace
-
 namespace persim::exp
 {
 
@@ -75,23 +70,6 @@ struct ExperimentSpec
      */
     std::vector<std::pair<std::string, std::string>> overrides;
 
-    /**
-     * When non-empty, the cell's cores replay this trace file (binary
-     * or text) instead of executing `workload`. Host-path state: never
-     * serialized into toJson(), so a replay run's figure output is
-     * comparable byte for byte with a direct run of the captured
-     * workload.
-     */
-    std::string traceFile;
-
-    /**
-     * When non-empty, the run is captured and the trace written here
-     * after the simulation completes. Also host-path state, excluded
-     * from toJson(); capture wraps the workloads without perturbing
-     * them, so the run's own output is unchanged.
-     */
-    std::string captureFile;
-
     /** True when workload names a Table 2 micro-benchmark. */
     bool isMicro() const;
 
@@ -101,16 +79,8 @@ struct ExperimentSpec
     /** Build the Table-1 (or scaled-down) SystemConfig for this cell. */
     model::SystemConfig toSystemConfig() const;
 
-    /**
-     * Build one workload per core (replay workloads when traceFile is
-     * set). If @p capture is non-null and captureFile is set, the
-     * workloads are wrapped for capture and the shared writer is
-     * returned through @p capture; the caller writes captureFile once
-     * the run finishes (see runJob).
-     */
-    std::vector<std::unique_ptr<cpu::Workload>> buildWorkloads(
-        std::shared_ptr<workload::trace::TraceCaptureWriter> *capture =
-            nullptr) const;
+    /** Build one workload per core. */
+    std::vector<std::unique_ptr<cpu::Workload>> buildWorkloads() const;
 
     JsonValue toJson() const;
 };

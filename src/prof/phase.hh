@@ -39,7 +39,7 @@ enum class Phase : unsigned char
     Other = 0,
     /** System::run dispatch loop (event-queue machinery itself). */
     EventLoop,
-    /** Workload generators (MemOp production, trace replay decode). */
+    /** Workload generators (MemOp production). */
     WorkloadGen,
     /** L1 access path: staged access, fills, downgrades, flush walks. */
     L1Access,

@@ -7,7 +7,6 @@
 #include "workload/micro/sdg.hh"
 #include "workload/micro/sps.hh"
 #include "workload/synthetic/presets.hh"
-#include "workload/trace/trace_replay.hh"
 
 namespace persim::workload
 {
@@ -163,12 +162,6 @@ makeSyntheticWorkloads(const std::string &preset, unsigned numThreads,
             params, static_cast<CoreId>(t), numThreads, seed));
     }
     return out;
-}
-
-std::vector<std::unique_ptr<cpu::Workload>>
-makeTraceReplayWorkloads(const std::string &path, unsigned numThreads)
-{
-    return trace::makeTraceReplay(path, numThreads);
 }
 
 } // namespace persim::workload

@@ -76,14 +76,6 @@ std::vector<std::unique_ptr<cpu::Workload>>
 makeSyntheticWorkloads(const std::string &preset, unsigned numThreads,
                        std::uint64_t opsPerThread, std::uint64_t seed);
 
-/**
- * Build replay workloads (one per core) from the trace file at
- * @p path, binary or text form. Fatal if the trace's thread count
- * differs from @p numThreads.
- */
-std::vector<std::unique_ptr<cpu::Workload>>
-makeTraceReplayWorkloads(const std::string &path, unsigned numThreads);
-
 } // namespace persim::workload
 
 #endif // PERSIM_WORKLOAD_WORKLOAD_FACTORY_HH

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "exp/figures.hh"
@@ -38,6 +40,8 @@ TEST(ExpJson, RoundTripsScalarsAndContainers)
     doc["string"] = JsonValue("plain");
     doc["escaped"] = JsonValue("quote\" slash\\ nl\n tab\t");
     doc["int"] = JsonValue(std::uint64_t{12345});
+    // Above 2^53 a double drops low bits; a derived seed must not.
+    doc["seed"] = JsonValue(std::uint64_t{6238072747940578789ull});
     doc["neg"] = JsonValue(-17.0);
     doc["frac"] = JsonValue(0.3);
     doc["tiny"] = JsonValue(1.25e-10);
@@ -55,6 +59,9 @@ TEST(ExpJson, RoundTripsScalarsAndContainers)
         EXPECT_EQ(back.get("escaped")->asString(),
                   "quote\" slash\\ nl\n tab\t");
         EXPECT_EQ(back.get("int")->asNumber(), 12345.0);
+        EXPECT_EQ(back.get("seed")->dump(0), "6238072747940578789");
+        EXPECT_FALSE(*back.get("seed") ==
+                     JsonValue(std::uint64_t{6238072747940578788ull}));
         EXPECT_EQ(back.get("frac")->asNumber(), 0.3);
         EXPECT_EQ(back.get("arr")->size(), 3u);
     }
@@ -64,6 +71,15 @@ TEST(ExpJson, IntegralNumbersSerializeWithoutFraction)
 {
     EXPECT_EQ(JsonValue(300.0).dump(0), "300");
     EXPECT_EQ(JsonValue(std::uint64_t{0}).dump(0), "0");
+    // 64-bit integers render exactly; up to 2^53 as their double does.
+    EXPECT_EQ(JsonValue(std::numeric_limits<std::uint64_t>::max()).dump(0),
+              "18446744073709551615");
+    EXPECT_EQ(JsonValue(std::numeric_limits<std::int64_t>::min()).dump(0),
+              "-9223372036854775808");
+    constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+    EXPECT_EQ(JsonValue(k53).dump(0),
+              JsonValue(static_cast<double>(k53)).dump(0));
+    EXPECT_EQ(JsonValue(-5).dump(0), JsonValue(-5.0).dump(0));
     EXPECT_NE(JsonValue(0.5).dump(0).find('.'), std::string::npos);
 }
 
@@ -360,6 +376,34 @@ TEST(ExpSpec, OverridesSerializeOnlyWhenPresent)
     EXPECT_EQ(list->at(1).asString(), "barrier.useArbiter=false");
 }
 
+TEST(ExpSpec, MultiSeedDocumentRecordsTheSeedThatRan)
+{
+    // --seeds 2: derived seeds are full 64-bit values, and each job's
+    // spec.seed must read back as the seed in its id, so that
+    // --seed <spec.seed> reruns the cell.
+    Sweep sweep = exp::figureSweep(11, 20, 4);
+    std::erase_if(sweep.jobs, [](const ExperimentSpec &s) {
+        return s.workload != "hash";
+    });
+    sweep.crossSeeds({0, 1});
+    std::vector<JobOutcome> outcomes;
+    for (const ExperimentSpec &spec : sweep.jobs)
+        outcomes.push_back(exp::runJob(spec));
+
+    const JsonValue doc = JsonValue::parse(
+        exp::sweepToJson(sweep, outcomes, /*includeStats=*/false).dump(2));
+    const std::vector<JsonValue> &jobs = doc.get("jobs")->items();
+    ASSERT_EQ(jobs.size(), 8u);
+    bool sawBigSeed = false;
+    for (const JsonValue &job : jobs) {
+        const std::string &id = job.get("id")->asString();
+        const std::string seed = job.get("spec")->get("seed")->dump(0);
+        EXPECT_EQ(seed, id.substr(id.rfind("/s") + 2)) << id;
+        sawBigSeed |= std::stoull(seed) > (std::uint64_t{1} << 53);
+    }
+    EXPECT_TRUE(sawBigSeed);
+}
+
 TEST(ExpSpec, CrossSeedsExpandsDeterministically)
 {
     Sweep sweep = exp::figureSweep(11, 50, 4, 3);
@@ -598,11 +642,98 @@ TEST(ExpFigures, MissingStatFailsLoudNamingIt)
             << e.what();
     }
 
-    // A failed cell is a missing cell (0.0), not an error.
+    // A failed cell is a missing cell (NaN), not an error.
     broken.ok = false;
     const exp::FigureTable table = exp::figureTable(12, {broken});
     ASSERT_EQ(table.cells.size(), 1u);
-    EXPECT_EQ(table.cells[0][0], 0.0);
+    EXPECT_TRUE(std::isnan(table.cells[0][0]));
+}
+
+TEST(ExpFigures, FailedCellIsMissingNotZero)
+{
+    // fig11 reduced to two workloads x {LB, LB++}; one LB++ cell fails.
+    Sweep sweep = exp::figureSweep(11, 20, 4);
+    std::erase_if(sweep.jobs, [](const ExperimentSpec &s) {
+        return (s.workload != "hash" && s.workload != "queue") ||
+               (s.configLabel != "LB" && s.configLabel != "LB++");
+    });
+    ASSERT_EQ(sweep.jobs.size(), 4u);
+    std::vector<JobOutcome> outcomes;
+    for (const ExperimentSpec &spec : sweep.jobs)
+        outcomes.push_back(exp::runJob(spec));
+    for (JobOutcome &o : outcomes) {
+        ASSERT_TRUE(o.ok) << o.spec.id() << ": " << o.error;
+        if (o.spec.workload == "hash" && o.spec.configLabel == "LB++")
+            o.ok = false;
+    }
+
+    const exp::FigureTable table = exp::figureTable(11, outcomes);
+    ASSERT_EQ(table.rows, (std::vector<std::string>{"hash", "queue"}));
+    ASSERT_EQ(table.cols, (std::vector<std::string>{"LB", "LB++"}));
+    EXPECT_DOUBLE_EQ(table.cells[0][0], 1.0);
+    EXPECT_TRUE(std::isnan(table.cells[0][1]));
+    EXPECT_GT(table.cells[1][1], 0.0);
+    EXPECT_DOUBLE_EQ(table.means[0], 1.0);
+    EXPECT_TRUE(std::isnan(table.means[1]));
+
+    std::ostringstream text;
+    exp::printFigureTable(text, table);
+    EXPECT_NE(text.str().find("n/a"), std::string::npos) << text.str();
+    EXPECT_EQ(text.str().find("nan"), std::string::npos) << text.str();
+    EXPECT_EQ(text.str().find("0.000"), std::string::npos) << text.str();
+
+    const JsonValue json = exp::figureTableToJson(table);
+    EXPECT_EQ(json.get("cells")->at(0).dump(0), "[1,null]");
+    EXPECT_EQ(json.get("means")->at(1).dump(0), "null");
+
+    std::ostringstream csv;
+    exp::figureTableToCsv(csv, table);
+    std::istringstream lines(csv.str());
+    std::string header, hashRow, queueRow, meanRow;
+    std::getline(lines, header);
+    std::getline(lines, hashRow);
+    std::getline(lines, queueRow);
+    std::getline(lines, meanRow);
+    EXPECT_EQ(hashRow, "hash,1,");
+    EXPECT_EQ(meanRow, "gmean,1,");
+
+    // A failed baseline makes every cell normalized to it missing.
+    for (JobOutcome &o : outcomes)
+        o.ok = !(o.spec.workload == "queue" && o.spec.configLabel == "LB");
+    const exp::FigureTable noBase = exp::figureTable(11, outcomes);
+    EXPECT_TRUE(std::isnan(noBase.cells[1][0]));
+    EXPECT_TRUE(std::isnan(noBase.cells[1][1]));
+    EXPECT_GT(noBase.cells[0][1], 0.0);
+}
+
+TEST(ExpFigures, MultiSeedTableCarriesCiColumns)
+{
+    Sweep sweep = exp::figureSweep(11, 20, 4);
+    std::erase_if(sweep.jobs, [](const ExperimentSpec &s) {
+        return s.workload != "hash";
+    });
+    sweep.crossSeeds({0, 1, 2});
+    exp::RunnerOptions opts;
+    opts.jobs = 2;
+    opts.progress = false;
+    exp::SweepRunner runner(opts);
+    const std::vector<JobOutcome> outcomes = runner.run(sweep);
+
+    const exp::FigureTable table = exp::figureTable(11, outcomes);
+    EXPECT_EQ(table.seedCount, 3u);
+    ASSERT_EQ(table.cellsCi.size(), table.rows.size());
+    EXPECT_EQ(table.cellsCi[0].size(), table.cols.size());
+
+    const JsonValue json = exp::figureTableToJson(table);
+    ASSERT_NE(json.get("seedCount"), nullptr);
+    EXPECT_EQ(json.get("seedCount")->asNumber(), 3.0);
+    ASSERT_NE(json.get("cellsCi95"), nullptr);
+    EXPECT_EQ(json.get("cellsCi95")->size(), table.rows.size());
+
+    std::ostringstream csv;
+    exp::figureTableToCsv(csv, table);
+    const std::string header = csv.str().substr(0, csv.str().find('\n'));
+    EXPECT_NE(header.find("LB_ci95"), std::string::npos) << header;
 }
 
 TEST(ExpFigures, ParameterColumnsNormalizeToTheirOwnBaseline)

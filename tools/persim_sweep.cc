@@ -21,13 +21,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
+#include "exp/fault.hh"
 #include "exp/figures.hh"
 #include "exp/journal.hh"
 #include "exp/runner.hh"
@@ -36,7 +36,6 @@
 #include "flags.hh"
 #include "prof/profile.hh"
 #include "sim/logging.hh"
-#include "workload/trace/trace_reader.hh"
 
 using namespace persim;
 using tools::parseNum;
@@ -60,20 +59,8 @@ usage(const char *argv0)
         "  --seed N          base workload seed (default 1)\n"
         "  --seeds N         replicate the grid over N derived seeds;\n"
         "                    figure tables then report mean and 95%% CI\n"
-        "  --workload W      keep only grid rows for workload W (a "
-        "micro\n"
-        "                    name, a synthetic preset, or 'trace' with\n"
-        "                    --trace-file)\n"
-        "  --trace-file F    with --workload trace: replay the workload "
-        "trace\n"
-        "                    F (binary or text) through the figure's "
-        "config\n"
-        "                    axis; core count comes from the trace "
-        "header\n"
-        "  --capture-dir D   record every job's workload to\n"
-        "                    D/<sweep>_<id>.ptrace (id with '/' as '_')\n"
-        "  --replay-dir D    replay each job from D/<sweep>_<id>.ptrace\n"
-        "                    (the paths --capture-dir writes)\n"
+        "  --workload W      keep only grid rows for workload W (a micro\n"
+        "                    name or a synthetic preset)\n"
         "  --retries N       extra attempts per failed job (default 1);\n"
         "                    retries back off exponentially (100 ms "
         "base,\n"
@@ -139,14 +126,11 @@ main(int argc, char **argv)
     unsigned jobTimeoutMs = 0;
     std::string outFile;
     std::string csvFile;
-    std::string traceFile;
+    std::string tracePath;
     std::string traceJob;
     std::string traceFlags = "all";
     std::string onlyPattern;
     std::string workloadFilter;
-    std::string replayTraceFile;
-    std::string captureDir;
-    std::string replayDir;
     std::string telemetryFile;
     std::string intervalCsvFile;
     std::string profFile;
@@ -170,12 +154,6 @@ main(int argc, char **argv)
         };
         if (arg == "--workload")
             workloadFilter = value("--workload");
-        else if (arg == "--trace-file")
-            replayTraceFile = value("--trace-file");
-        else if (arg == "--capture-dir")
-            captureDir = value("--capture-dir");
-        else if (arg == "--replay-dir")
-            replayDir = value("--replay-dir");
         else if (arg == "--figure")
             figure = value("--figure");
         else if (arg == "--jobs")
@@ -218,7 +196,7 @@ main(int argc, char **argv)
         } else if (arg == "--interval-csv")
             intervalCsvFile = value("--interval-csv");
         else if (arg == "--trace")
-            traceFile = value("--trace");
+            tracePath = value("--trace");
         else if (arg == "--trace-job")
             traceJob = value("--trace-job");
         else if (arg == "--trace-flags")
@@ -259,50 +237,19 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (!replayTraceFile.empty() && workloadFilter != "trace") {
-        std::fprintf(stderr,
-                     "--trace-file needs --workload trace\n");
-        return 2;
-    }
-    if (workloadFilter == "trace" && replayTraceFile.empty()) {
-        std::fprintf(stderr,
-                     "--workload trace needs --trace-file FILE\n");
+    // A malformed PERSIM_FAULT would fail every attempt of every
+    // cell; refuse it once, before any cell runs.
+    try {
+        exp::fault::fromEnv();
+    } catch (const SimFatal &e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
 
     try {
         exp::Sweep sweep = exp::makeSweep(*def, ops, cores, seed);
 
-        if (workloadFilter == "trace") {
-            // Replace the workload axis with one row replaying the
-            // trace through every config of the figure. The trace
-            // header fixes the core count and the row's name.
-            auto reader = workload::trace::openTrace(replayTraceFile);
-            std::vector<exp::ExperimentSpec> rows;
-            std::vector<std::string> seenConfigs;
-            for (const exp::ExperimentSpec &s : sweep.jobs) {
-                if (std::find(seenConfigs.begin(), seenConfigs.end(),
-                              s.configLabel) != seenConfigs.end())
-                    continue;
-                seenConfigs.push_back(s.configLabel);
-                exp::ExperimentSpec spec = s;
-                spec.workload = reader->meta().name.empty()
-                                    ? "trace"
-                                    : reader->meta().name;
-                spec.cores = reader->meta().threadCount;
-                spec.traceFile = replayTraceFile;
-                rows.push_back(std::move(spec));
-            }
-            sweep.jobs = std::move(rows);
-            std::fprintf(stderr,
-                         "replaying %s (%u thread(s), %llu records) "
-                         "over %zu config(s)\n",
-                         replayTraceFile.c_str(),
-                         reader->meta().threadCount,
-                         static_cast<unsigned long long>(
-                             reader->totalRecords()),
-                         sweep.jobs.size());
-        } else if (!workloadFilter.empty()) {
+        if (!workloadFilter.empty()) {
             std::erase_if(sweep.jobs, [&](const auto &spec) {
                 return spec.workload != workloadFilter;
             });
@@ -332,24 +279,6 @@ main(int argc, char **argv)
                              onlyPattern.c_str(), sweep.name.c_str());
                 return 2;
             }
-        }
-
-        // Applied after seed expansion and --only so every
-        // surviving job gets its own trace path.
-        auto tracePathFor = [&](const exp::ExperimentSpec &spec,
-                                const std::string &dir) {
-            std::string id = spec.id();
-            std::replace(id.begin(), id.end(), '/', '_');
-            return dir + "/" + sweep.name + "_" + id + ".ptrace";
-        };
-        if (!captureDir.empty()) {
-            std::filesystem::create_directories(captureDir);
-            for (exp::ExperimentSpec &spec : sweep.jobs)
-                spec.captureFile = tracePathFor(spec, captureDir);
-        }
-        if (!replayDir.empty()) {
-            for (exp::ExperimentSpec &spec : sweep.jobs)
-                spec.traceFile = tracePathFor(spec, replayDir);
         }
 
         if (!traceJob.empty() &&
@@ -389,7 +318,7 @@ main(int argc, char **argv)
                 --period;
             opts.profPeriodUsec = period;
         }
-        if (!traceFile.empty()) {
+        if (!tracePath.empty()) {
             opts.traceFlags = traceFlags;
             opts.traceJobId = traceJob;
             // Counter sampling rides the trace capture: default to a
@@ -448,10 +377,10 @@ main(int argc, char **argv)
             exp::figureTableToCsv(os, table);
             std::fprintf(stderr, "wrote %s\n", csvFile.c_str());
         }
-        if (!traceFile.empty()) {
-            std::ofstream os(traceFile);
+        if (!tracePath.empty()) {
+            std::ofstream os(tracePath);
             if (!os)
-                fatal("cannot write ", traceFile);
+                fatal("cannot write ", tracePath);
             const std::string traced =
                 traceJob.empty() ? sweep.jobs.front().id() : traceJob;
             exp::writeChromeTrace(os, *runner.recorder(),
@@ -459,7 +388,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "wrote %s (%zu events, %zu spans, %zu counter "
                          "samples)\n",
-                         traceFile.c_str(),
+                         tracePath.c_str(),
                          runner.recorder()->records().size(),
                          runner.recorder()->spans().size(),
                          runner.recorder()->counters().size());
